@@ -20,6 +20,10 @@ sets.  Two engines implement the search behind one interface:
   what makes exhaustive negative verdicts (freeness proofs, exception
   sweeps) fast on families full of long chains.
 
+Both engines read one containment index of the family (up, down and
+incomparable rows as bitsets over family indices), built by one pairwise
+pass; adding a member grows it in O(|F|).
+
 Chains of equal length are interchangeable, so both engines may order them
 canonically; this removes a factorial blowup without changing whether a
 copy exists.  Every search carries a node budget and raises
@@ -80,11 +84,13 @@ class WitnessMatrix:
 
 
 class _FamilyIndex:
-    """Pairwise containment structure of a mask tuple, as index bitsets.
+    """Pairwise containment structure of distinct masks, as index bitsets.
 
     ``up[i]`` holds j iff masks[i] is a proper subset of masks[j]; ``down``
     and ``inc`` are the mirror and the incomparable set; ``gt[i]`` holds j
     iff masks[j] > masks[i] numerically (used for symmetry breaking).
+    Both engines read it: the generic one all four rows, the chain engine
+    ``up`` and ``down``.
     """
 
     __slots__ = ("masks", "up", "down", "inc", "gt", "all_bits")
@@ -92,63 +98,61 @@ class _FamilyIndex:
     def __init__(self, masks: tuple[int, ...], _rows=None):
         self.masks = masks
         nf = len(masks)
+        self.all_bits = (1 << nf) - 1
         if _rows is not None:
             self.up, self.down, self.inc, self.gt = _rows
-        else:
-            up = [0] * nf
-            down = [0] * nf
-            inc = [0] * nf
-            gt = [0] * nf
-            for i in range(nf):
-                a = masks[i]
-                for j in range(i + 1, nf):
-                    b = masks[j]
-                    bit_i, bit_j = 1 << i, 1 << j
-                    if a & b == a:
-                        up[i] |= bit_j
-                        down[j] |= bit_i
-                    elif a & b == b:
-                        down[i] |= bit_j
-                        up[j] |= bit_i
-                    else:
-                        inc[i] |= bit_j
-                        inc[j] |= bit_i
-                    if b > a:
-                        gt[i] |= bit_j
-                    else:
-                        gt[j] |= bit_i
-            self.up, self.down, self.inc, self.gt = up, down, inc, gt
-        self.all_bits = (1 << nf) - 1
+            return
+        up = [0] * nf
+        down = [0] * nf
+        for i in range(nf):
+            a = masks[i]
+            for j in range(i + 1, nf):
+                b = masks[j]
+                if a & b == a:
+                    up[i] |= 1 << j
+                    down[j] |= 1 << i
+                elif a & b == b:
+                    down[i] |= 1 << j
+                    up[j] |= 1 << i
+        self.up, self.down = up, down
+        # Members are distinct, so whatever is neither above nor below is apart.
+        self.inc = [self.all_bits & ~(u | d | 1 << i) for i, (u, d) in enumerate(zip(up, down))]
+        gt = [0] * nf
+        greater = 0
+        for i in sorted(range(nf), key=masks.__getitem__, reverse=True):
+            gt[i] = greater
+            greater |= 1 << i
+        self.gt = gt
+
+    def relation_to(self, g: int) -> tuple[int, int, int]:
+        """Bitsets of the members below g, above g, and numerically below g."""
+        below = above = less = 0
+        bit = 1
+        for a in self.masks:
+            if a & g == a:
+                below |= bit
+            elif a & g == g:
+                above |= bit
+            if a < g:
+                less |= bit
+            bit <<= 1
+        return below, above, less
 
     def extended(self, g: int) -> "_FamilyIndex":
         """Index for masks + (g,); g must not already be a member."""
-        nf = len(self.masks)
-        bit = 1 << nf
-        up, down, inc, gt = [], [], [], []
-        g_up = g_down = g_inc = g_gt = 0
-        for i, a in enumerate(self.masks):
-            u, d, c, t = self.up[i], self.down[i], self.inc[i], self.gt[i]
-            if a & g == a:
-                u |= bit
-                g_down |= 1 << i
-            elif a & g == g:
-                d |= bit
-                g_up |= 1 << i
-            else:
-                c |= bit
-                g_inc |= 1 << i
-            if g > a:
-                t |= bit
-            else:
-                g_gt |= 1 << i
-            up.append(u)
-            down.append(d)
-            inc.append(c)
-            gt.append(t)
-        up.append(g_up)
-        down.append(g_down)
-        inc.append(g_inc)
-        gt.append(g_gt)
+        below, above, less = self.relation_to(g)
+        apart = self.all_bits & ~below & ~above
+        bit = 1 << len(self.masks)
+        up, down, inc, gt = self.up[:], self.down[:], self.inc[:], self.gt[:]
+        for row, sel in ((up, below), (down, above), (inc, apart), (gt, less)):
+            while sel:
+                low = sel & -sel
+                sel ^= low
+                row[low.bit_length() - 1] |= bit
+        up.append(above)
+        down.append(below)
+        inc.append(apart)
+        gt.append(self.all_bits & ~less)
         return _FamilyIndex(self.masks + (g,), _rows=(up, down, inc, gt))
 
 
@@ -282,26 +286,6 @@ def _run(
     return None
 
 
-def _search(
-    index: _FamilyIndex,
-    plan: _SearchPlan,
-    budget: list[int],
-    require_idx: int | None = None,
-) -> list[int] | None:
-    """Find an assignment, optionally forced to use one family index.
-
-    With a required index, each poset position is tried as its host in
-    turn; the first complete assignment wins.
-    """
-    if require_idx is None:
-        return _run(index, plan, budget)
-    for pin_pos in range(plan.size):
-        res = _run(index, plan, budget, pin_pos, require_idx)
-        if res is not None:
-            return res
-    return None
-
-
 class _ChainEngine:
     """Interval-node search for pure chain-union targets.
 
@@ -314,13 +298,11 @@ class _ChainEngine:
     """
 
     __slots__ = (
-        "masks",
+        "index",
         "sym",
         "groups",
         "slots",
         "slot_group",
-        "up_bits",
-        "down_bits",
         "ml",
         "nodes",
         "node_count",
@@ -338,8 +320,8 @@ class _ChainEngine:
     # Adjacency rows are materialized only below this node count.
     ADJ_CACHE_NODES = 8_000
 
-    def __init__(self, masks: tuple[int, ...], poset: ComparabilityMatrix, symmetry_break: bool):
-        self.masks = masks
+    def __init__(self, index: _FamilyIndex, poset: ComparabilityMatrix, symmetry_break: bool):
+        self.index = index
         self.sym = symmetry_break
         # Chains grouped by length, longest first; remember original ids.
         lengths: dict[int, list[int]] = {}
@@ -353,53 +335,18 @@ class _ChainEngine:
                 self.slots.append(length)
                 self.slot_group.append(gi)
 
+        masks, up, down = index.masks, index.up, index.down
         nf = len(masks)
-        up = [0] * nf
-        down = [0] * nf
-        for i in range(nf):
-            a = masks[i]
-            for j in range(i + 1, nf):
-                b = masks[j]
-                if a & b == a:
-                    up[i] |= 1 << j
-                    down[j] |= 1 << i
-                elif a & b == b:
-                    down[i] |= 1 << j
-                    up[j] |= 1 << i
-        self.up_bits = up
-        self.down_bits = down
-
-        # Longest-chain table, computed per top along a linear extension.
-        order = sorted(range(nf), key=lambda i: (masks[i].bit_count(), masks[i]))
-        rank = [0] * nf
-        for r, i in enumerate(order):
-            rank[i] = r
-        ml: list[dict[int, int]] = [dict() for _ in range(nf)]
-        need_pairs = any(length >= 2 for length, _ in self.groups)
-        min_len = min(
-            (length for length, _ in self.groups if length >= 2), default=None
-        )
-        for t in range(nf):
-            row = ml[t]
-            row[t] = 1
-            below = down[t]
-            inside = sorted(
-                _bits(below), key=lambda i: rank[i], reverse=True
-            )
-            span = below | (1 << t)
-            for b in inside:
-                best = 0
-                sup = up[b] & span
-                while sup:
-                    low = sup & -sup
-                    sup ^= low
-                    best_c = row[low.bit_length() - 1]
-                    if best_c > best:
-                        best = best_c
-                row[b] = 1 + best
+        need_pairs = self.slots[0] >= 2
+        # Longest-chain table: ml[t][b] for every member b strictly below t.
+        # A target made of single points never reads it.
+        ml = [_reach(masks, down[t], up, True) for t in range(nf)] if need_pairs else []
         self.ml = ml
 
         # Interval nodes, ordered by (bottom index, top index).
+        min_len = min(
+            (length for length, _ in self.groups if length >= 2), default=None
+        )
         want_single = any(length == 1 for length, _ in self.groups)
         nodes: list[tuple[int, int]] = []
         for b in range(nf):
@@ -430,30 +377,30 @@ class _ChainEngine:
 
         # nb[x]: nodes whose bottom fits inside member x;
         # nt[x]: nodes whose top contains member x.
-        nb = [0] * nf
-        nt = [0] * nf
         by_bottom = [0] * nf
         by_top = [0] * nf
         for c, (bi, ti) in enumerate(nodes):
-            bm, tm = masks[bi], masks[ti]
-            bit = 1 << c
-            by_bottom[bi] |= bit
-            by_top[ti] |= bit
-            for x in range(nf):
-                mx = masks[x]
-                if bm & mx == bm:
-                    nb[x] |= bit
-                if mx & tm == mx:
-                    nt[x] |= bit
-        self.nb = nb
-        self.nt = nt
+            by_bottom[bi] |= 1 << c
+            by_top[ti] |= 1 << c
         self.by_bottom = by_bottom
         self.by_top = by_top
+        self.nb = [self._gather(by_bottom, down[x] | 1 << x) for x in range(nf)]
+        self.nt = [self._gather(by_top, up[x] | 1 << x) for x in range(nf)]
         # Cached compatibility rows keep the inner search at one AND per node.
         if self.node_count <= self.ADJ_CACHE_NODES:
             self.adj = [self._compat(c) for c in range(self.node_count)]
         else:
             self.adj = None
+
+    @staticmethod
+    def _gather(rows: list[int], members: int) -> int:
+        """Union of ``rows[i]`` over the members i in a bitset."""
+        out = 0
+        while members:
+            low = members & -members
+            members ^= low
+            out |= rows[low.bit_length() - 1]
+        return out
 
     def _compat(self, c: int) -> int:
         b, t = self.nodes[c]
@@ -500,35 +447,17 @@ class _ChainEngine:
         budget[0] = left
         return None
 
-    def _realize(self, bi: int, ti: int, length: int) -> list[int]:
-        """A chain of exactly ``length`` masks from bottom bi to top ti."""
-        if length == 1:
-            return [self.masks[bi]]
-        path = [self.masks[bi]]
-        cur = bi
-        row = self.ml[ti]
-        for step in range(length - 2):
-            need = length - 1 - step
-            inner = self.up_bits[cur] & self.down_bits[ti]
-            while inner:
-                low = inner & -inner
-                inner ^= low
-                c = low.bit_length() - 1
-                if row[c] >= need:
-                    path.append(self.masks[c])
-                    cur = c
-                    break
-            else:
-                raise AssertionError("longest-chain table broke its promise")
-        path.append(self.masks[ti])
-        return path
-
     def _assemble(self, chosen: list[int], slots: list[int], extra=None):
         """Masks per slot; ``extra`` = (g_path, g_slot_length) when pinned."""
+        index = self.index
         paths = []
         for v, length in zip(chosen, slots):
             b, t = self.nodes[v]
-            paths.append(self._realize(b, t, length))
+            if length == 1:
+                paths.append([index.masks[b]])
+            else:
+                path = _walk(index.masks, b, length - 2, self.ml[t], index.up, index.down[t])
+                paths.append(path + [index.masks[t]])
         if extra is not None:
             g_path, g_len = extra
             paths.append(g_path)
@@ -547,21 +476,14 @@ class _ChainEngine:
 
     def find_containing(self, g: int, budget: list[int]):
         """A copy inside masks + {g} whose image uses g; g is not a member."""
-        masks = self.masks
-        down_set = 0
-        up_set = 0
-        nb_g = 0
-        nt_g = 0
-        for i, a in enumerate(masks):
-            if a & g == a:
-                down_set |= 1 << i
-                nb_g |= self.by_bottom[i]
-            elif a & g == g:
-                up_set |= 1 << i
-                nt_g |= self.by_top[i]
-
-        down_len = self._reach_lengths(down_set)
-        up_len = self._reach_lengths_up(up_set)
+        index = self.index
+        down_set, up_set, _ = index.relation_to(g)
+        nb_g = self._gather(self.by_bottom, down_set)
+        nt_g = self._gather(self.by_top, up_set)
+        down_len = up_len = None  # read only where g's own chain is longer than g
+        if self.slots[0] >= 2:
+            down_len = _reach(index.masks, down_set, index.up, True)
+            up_len = _reach(index.masks, up_set, index.down, False)
 
         seen_lengths = set()
         for gi, (length, _) in enumerate(self.groups):
@@ -592,49 +514,9 @@ class _ChainEngine:
                 chosen = self._solve(rest_slots, rest_group, cand, budget)
                 if chosen is None:
                     continue
-                g_path = self._g_path(g, b, t, length, down_len, up_len)
+                g_path = self._g_path(g, b, t, length, down_set, up_set, down_len, up_len)
                 return self._assemble(chosen, rest_slots, extra=(g_path, length))
         return None
-
-    def _reach_lengths(self, down_set: int) -> dict[int, int]:
-        """down_len[i]: longest chain from member i up to g, inclusive."""
-        masks = self.masks
-        members = sorted(
-            _bits(down_set),
-            key=lambda i: (masks[i].bit_count(), masks[i]),
-            reverse=True,
-        )
-        out: dict[int, int] = {}
-        for i in members:
-            best = 1
-            sup = self.up_bits[i] & down_set
-            while sup:
-                low = sup & -sup
-                sup ^= low
-                cand = out[low.bit_length() - 1]
-                if cand > best:
-                    best = cand
-            out[i] = 1 + best
-        return out
-
-    def _reach_lengths_up(self, up_set: int) -> dict[int, int]:
-        """up_len[i]: longest chain from g up to member i, inclusive."""
-        masks = self.masks
-        members = sorted(
-            _bits(up_set), key=lambda i: (masks[i].bit_count(), masks[i])
-        )
-        out: dict[int, int] = {}
-        for i in members:
-            best = 1
-            sub = self.down_bits[i] & up_set
-            while sub:
-                low = sub & -sub
-                sub ^= low
-                cand = out[low.bit_length() - 1]
-                if cand > best:
-                    best = cand
-            out[i] = 1 + best
-        return out
 
     def _g_classes(self, length, down_set, up_set, down_len, up_len):
         """(bottom, top) endpoint classes for g's own chain; None means g."""
@@ -652,65 +534,26 @@ class _ChainEngine:
                 if d_lo + u_lo - 1 <= length <= d_hi + u_hi - 1:
                     yield (b, t)
 
-    def _g_path(self, g, b, t, length, down_len, up_len):
+    def _g_path(self, g, b, t, length, down_set, up_set, down_len, up_len):
         """Realize g's chain of exactly ``length`` from class (b, t)."""
         d_lo = 1 if b is None else 2
         d_hi = 1 if b is None else down_len[b]
         u_lo = 1 if t is None else 2
         u_hi = 1 if t is None else up_len[t]
         d = min(d_hi, length + 1 - u_lo)
-        assert d >= max(d_lo, length + 1 - u_hi)
+        if d < max(d_lo, length + 1 - u_hi):
+            raise AssertionError(f"no split of a {length}-chain through g in class {(b, t)}")
         u = length + 1 - d
-        down_part = [g] if b is None else self._realize_to_g(g, b, d, down_len)
-        up_part = [] if t is None else self._realize_from_g(g, t, u, up_len)[1:]
+        index = self.index
+        if b is None:
+            down_part = [g]
+        else:
+            down_part = _walk(index.masks, b, d - 2, down_len, index.up, down_set) + [g]
+        if t is None:
+            up_part = []
+        else:
+            up_part = _walk(index.masks, t, u - 2, up_len, index.down, up_set)[::-1]
         return down_part + up_part
-
-    def _realize_to_g(self, g, b, d, down_len):
-        masks = self.masks
-        path = [masks[b]]
-        cur = b
-        down_set = 0
-        for i in down_len:
-            down_set |= 1 << i
-        for step in range(d - 2):
-            need = d - 1 - step
-            inner = self.up_bits[cur] & down_set
-            while inner:
-                low = inner & -inner
-                inner ^= low
-                c = low.bit_length() - 1
-                if down_len[c] >= need:
-                    path.append(masks[c])
-                    cur = c
-                    break
-            else:
-                raise AssertionError("down-length table broke its promise")
-        path.append(g)
-        return path
-
-    def _realize_from_g(self, g, t, u, up_len):
-        masks = self.masks
-        rev = [masks[t]]
-        cur = t
-        up_set = 0
-        for i in up_len:
-            up_set |= 1 << i
-        for step in range(u - 2):
-            need = u - 1 - step
-            inner = self.down_bits[cur] & up_set
-            while inner:
-                low = inner & -inner
-                inner ^= low
-                c = low.bit_length() - 1
-                if up_len[c] >= need:
-                    rev.append(masks[c])
-                    cur = c
-                    break
-            else:
-                raise AssertionError("up-length table broke its promise")
-        rev.append(g)
-        rev.reverse()
-        return rev
 
 
 def _bits(mask: int):
@@ -720,12 +563,72 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _reach(
+    masks: tuple[int, ...], members: int, step: list[int], descending: bool
+) -> dict[int, int]:
+    """Longest chains through a member set to an end point just past it.
+
+    The end point is a set beyond every member: above them all when
+    ``descending`` (``step`` = up rows), below them all otherwise (``step`` =
+    down rows).  ``out[i]`` counts the sets on the longest chain from member
+    i through members to the end point, both ends included.
+    """
+    out: dict[int, int] = {}
+    if not members:
+        return out
+    # A proper superset has more elements, so cardinality order is topological.
+    order = sorted(_bits(members), key=lambda i: masks[i].bit_count(), reverse=descending)
+    for i in order:
+        best = 1
+        nxt = step[i] & members
+        while nxt:
+            low = nxt & -nxt
+            nxt ^= low
+            here = out[low.bit_length() - 1]
+            if here > best:
+                best = here
+        out[i] = 1 + best
+    return out
+
+
+def _walk(
+    masks: tuple[int, ...],
+    start: int,
+    count: int,
+    lengths: dict[int, int],
+    step: list[int],
+    within: int,
+) -> list[int]:
+    """Masks of ``start`` and ``count`` further members along ``step`` rows.
+
+    Each move takes the lowest-indexed member of ``within`` that still
+    reaches the end point in the remaining number of moves, as ``lengths``
+    (from :func:`_reach`) promises.
+    """
+    path = [masks[start]]
+    cur = start
+    for need in range(count + 1, 1, -1):
+        nxt = step[cur] & within
+        while nxt:
+            low = nxt & -nxt
+            nxt ^= low
+            c = low.bit_length() - 1
+            if lengths[c] >= need:
+                path.append(masks[c])
+                cur = c
+                break
+        else:
+            raise AssertionError("longest-chain table broke its promise")
+    return path
+
+
 class CopySearch:
     """Reusable induced-copy searcher bound to one family and one target.
 
     Picks the chain engine for pure chain-union targets (unless it would
     generate an absurd number of interval nodes) and the generic
     backtracker otherwise; ``engine`` forces the choice for cross-checks.
+    Both engines read one containment index of the family.
     """
 
     def __init__(
@@ -737,23 +640,26 @@ class CopySearch:
     ):
         if engine not in ("auto", "chains", "generic"):
             raise ValueError(f"unknown engine {engine!r}")
+        if engine == "chains" and poset.chains is None:
+            raise ValueError("chain engine needs a pure chain-union target")
         self.masks = masks
         self.poset = poset
         self.symmetry_break = symmetry_break
         self.engine_name = engine
-        self._chain: _ChainEngine | None = None
-        self._index: _FamilyIndex | None = None
+        self._index = _FamilyIndex(masks)
         self._plan: _SearchPlan | None = None
-        if engine == "chains" and poset.chains is None:
-            raise ValueError("chain engine needs a pure chain-union target")
-        use_chains = engine in ("auto", "chains") and poset.chains is not None
-        if use_chains:
-            chain = _ChainEngine(masks, poset, symmetry_break)
-            if engine == "chains" or chain.node_count <= _ChainEngine.MAX_NODES:
+        self._grown: _FamilyIndex | None = None  # last generic find_containing's index
+        self._pick_engine()
+
+    def _pick_engine(self) -> None:
+        """Chain engine over the index where it serves, else the generic plan."""
+        self._chain: _ChainEngine | None = None
+        if self.engine_name != "generic" and self.poset.chains is not None:
+            chain = _ChainEngine(self._index, self.poset, self.symmetry_break)
+            if self.engine_name == "chains" or chain.node_count <= _ChainEngine.MAX_NODES:
                 self._chain = chain
-        if self._chain is None:
-            self._index = _FamilyIndex(masks)
-            self._plan = _SearchPlan(poset, symmetry_break)
+                return
+        self._plan = _SearchPlan(self.poset, self.symmetry_break)
 
     def _to_embedding(self, by_len: dict[int, list[list[int]]]) -> Embedding:
         assignment = [0] * self.poset.size
@@ -778,22 +684,40 @@ class CopySearch:
         self, g: int, node_budget: int = DEFAULT_NODE_BUDGET
     ) -> Embedding | None:
         """Some induced copy in family + {g} that uses g; g not a member."""
-        if self._chain is not None:
-            by_len = self._chain.find_containing(g, [node_budget])
-            return None if by_len is None else self._to_embedding(by_len)
-        ext = self._index.extended(g)
         budget = [node_budget]
-        res = _search(ext, self._plan, budget, require_idx=len(self.masks))
-        if res is None:
-            return None
-        ext_masks = self.masks + (g,)
-        return Embedding(self.poset, tuple(ext_masks[i] for i in res))
+        if self._chain is not None:
+            by_len = self._chain.find_containing(g, budget)
+            return None if by_len is None else self._to_embedding(by_len)
+        # Pin g to each poset position in turn; the first copy wins.
+        ext = self._grown = self._index.extended(g)
+        for pin_pos in range(self._plan.size):
+            res = _run(ext, self._plan, budget, pin_pos, len(self.masks))
+            if res is not None:
+                return Embedding(self.poset, tuple(ext.masks[i] for i in res))
+        return None
 
     def with_member(self, g: int) -> "CopySearch":
-        """Searcher for the family extended by g."""
-        return CopySearch(
-            self.masks + (g,), self.poset, self.symmetry_break, self.engine_name
-        )
+        """Searcher for the family extended by g; g must not be a member.
+
+        The index grows in O(|F|), or is taken over from the last
+        ``find_containing(g)``, and is all the generic engine needs; the
+        chain engine is rebuilt over it.  Adding a member never removes an
+        interval node, so a fallback at ``MAX_NODES`` stays one.
+        """
+        grown = self._grown
+        # A plain dict copy: copy.copy costs five times as much, and the
+        # exact solver grows a searcher at every accepted prefix.
+        out = object.__new__(CopySearch)
+        out.__dict__.update(self.__dict__)
+        out.masks = self.masks + (g,)
+        if grown is not None and grown.masks[-1] == g:
+            out._index = grown
+        else:
+            out._index = self._index.extended(g)
+        out._grown = None
+        if self._chain is not None:
+            out._pick_engine()
+        return out
 
 
 def find_induced_copy(

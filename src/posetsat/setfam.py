@@ -93,7 +93,7 @@ class Family:
         return iter(self.sets)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.sets) if len(self.sets) > 8 else mask in self.sets
+        return mask in self.sets
 
     def member_lists(self) -> list[list[int]]:
         """Members as ascending 1-based element lists, canonical order."""

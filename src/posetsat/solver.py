@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embed import DEFAULT_NODE_BUDGET, BudgetExceededError, _FamilyIndex, _search, _SearchPlan
+from .embed import DEFAULT_NODE_BUDGET, BudgetExceededError, CopySearch
 from .posetspec import ComparabilityMatrix
 from .setfam import Family, canonical_key, family_to_json
 from .verify import exceptions, greedy_saturate, is_induced_p_free
@@ -65,7 +65,6 @@ def sat_star_exact(
         return SolveResult("budget_exceeded", None, None, 0)
 
     universe = sorted(range(1 << n), key=canonical_key)
-    plan = _SearchPlan(poset)
     nodes = 0
 
     def saturated(masks: tuple[int, ...]) -> bool:
@@ -75,13 +74,11 @@ def sat_star_exact(
         )
         return len(exc) == 0
 
-    def dfs(start: int, chosen: list[int], index: _FamilyIndex, left: int):
+    def dfs(start: int, search: CopySearch, left: int):
         nonlocal nodes
         if left == 0:
-            if saturated(tuple(chosen)):
-                return tuple(chosen)
-            return None
-        first = not chosen
+            return search.masks if saturated(search.masks) else None
+        first = not search.masks
         for upos in range(start, len(universe) - left + 1):
             g = universe[upos]
             if first and g != (1 << g.bit_count()) - 1:
@@ -89,14 +86,11 @@ def sat_star_exact(
             nodes += 1
             if nodes > node_budget:
                 raise _OutOfNodes
-            ext = index.extended(g)
-            if _search(ext, plan, [inner_budget], require_idx=len(chosen)) is not None:
+            if search.find_containing(g, inner_budget) is not None:
                 continue  # prefix would already contain a copy
-            chosen.append(g)
-            found = dfs(upos + 1, chosen, ext, left - 1)
+            found = dfs(upos + 1, search.with_member(g), left - 1)
             if found is not None:
                 return found
-            chosen.pop()
         return None
 
     try:
@@ -105,12 +99,17 @@ def sat_star_exact(
                 if saturated(()):
                     return SolveResult("exact", 0, empty, nodes)
                 continue
-            found = dfs(0, [], _FamilyIndex(()), size)
+            # The generic engine: its whole state is the containment index,
+            # which with_member extends in O(|F|) per prefix; the chain
+            # engine would rebuild its interval nodes at every prefix.
+            found = dfs(0, CopySearch((), poset, engine="generic"), size)
             if found is not None:
                 witness = Family(n, found)
-                assert is_induced_p_free(witness, poset, node_budget=inner_budget)
-                assert len(exceptions(witness, poset, node_budget=inner_budget,
-                                      max_ground=max(n, 16))) == 0
+                if not is_induced_p_free(witness, poset, node_budget=inner_budget):
+                    raise AssertionError("solver witness contains a copy of the target")
+                if len(exceptions(witness, poset, node_budget=inner_budget,
+                                  max_ground=max(n, 16))) != 0:
+                    raise AssertionError("solver witness is not saturated")
                 return SolveResult("exact", size, witness, nodes)
     except (_OutOfNodes, BudgetExceededError):
         return SolveResult("budget_exceeded", len(incumbent), incumbent, nodes)

@@ -93,7 +93,10 @@ def exceptions(
 
     Requires the family to be induced P-free already.  Enumerates all 2^n
     subsets, so the ground size is capped (raise ``max_ground`` explicitly
-    to go past 16).  With ``workers`` > 1 candidates are swept in parallel
+    to go past 16).  ``node_budget`` caps each candidate's search (and the
+    freeness check), not the sweep as a whole; a candidate that runs out
+    aborts the sweep with BudgetExceededError carrying the exceptions found
+    so far.  With ``workers`` > 1 candidates are swept in parallel
     processes; the result is canonicalized either way, so worker count
     never changes the output.
     """
@@ -106,30 +109,21 @@ def exceptions(
         raise ValueError("family already contains an induced copy of the target")
     candidates = _candidate_masks(family)
     if workers <= 1 or len(candidates) < 64:
-        found, aborted = _sweep_chunk((family.sets, poset, candidates, node_budget))
-        if aborted:
-            raise BudgetExceededError(
-                "exception sweep aborted by node budget",
-                partial=canonicalize_family(found, family.n),
-                partial_count=len(found),
-            )
-        return canonicalize_family(found, family.n)
-    step = (len(candidates) + workers * 4 - 1) // (workers * 4)
-    chunks = [candidates[i : i + step] for i in range(0, len(candidates), step)]
-    jobs = [(family.sets, poset, chunk, node_budget) for chunk in chunks]
-    collected: list[int] = []
-    aborted = False
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for found, chunk_aborted in pool.map(_sweep_chunk, jobs):
-            collected.extend(found)
-            aborted = aborted or chunk_aborted
-    if aborted:
+        results = [_sweep_chunk((family.sets, poset, candidates, node_budget))]
+    else:
+        step = (len(candidates) + workers * 4 - 1) // (workers * 4)
+        chunks = [candidates[i : i + step] for i in range(0, len(candidates), step)]
+        jobs = [(family.sets, poset, chunk, node_budget) for chunk in chunks]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_sweep_chunk, jobs))
+    found = canonicalize_family([g for chunk, _ in results for g in chunk], family.n)
+    if any(aborted for _, aborted in results):
         raise BudgetExceededError(
             "exception sweep aborted by node budget",
-            partial=canonicalize_family(collected, family.n),
-            partial_count=len(collected),
+            partial=found,
+            partial_count=len(found),
         )
-    return canonicalize_family(collected, family.n)
+    return found
 
 
 def is_saturated(
@@ -140,7 +134,11 @@ def is_saturated(
     max_ground: int = DEFAULT_ENUMERATION_CAP,
     workers: int = 1,
 ) -> bool:
-    """Free, and every absent subset completes a copy."""
+    """Free, and every absent subset completes a copy.
+
+    ``node_budget`` caps the freeness check and each candidate's search,
+    not the whole sweep; running out raises BudgetExceededError.
+    """
     if not is_induced_p_free(family, poset, node_budget=node_budget):
         return False
     exc = exceptions(
@@ -187,7 +185,9 @@ def verification_report(
 
     Budget overruns are folded into the report instead of raised: an
     undecided freeness check leaves ``is_free`` as None; an aborted sweep
-    records the partial exception family.
+    records the partial exception family.  ``node_budget`` caps the
+    freeness check and each candidate's search separately, not the sweep
+    as a whole.
     """
     poset = build_poset(poset_text)
     poset_name = render_poset_spec(poset.spec)

@@ -12,6 +12,7 @@ from posetsat.constructs import (
 from posetsat.embed import (
     BudgetExceededError,
     CopySearch,
+    _ChainEngine,
     Embedding,
     embedding_to_json,
     find_induced_copy,
@@ -27,6 +28,15 @@ ORACLE_SPECS = ["C2", "C3", "2C2", "C2+C1"]
 
 def fam(n, *sets):
     return canonicalize_family([mask_of(s, n) for s in sets], n)
+
+
+def random_families(count, seed=99):
+    """Random families over [5] in canonical order, one mask tuple each."""
+    rng = random.Random(seed)
+    universe = sorted(range(32), key=canonical_key)
+    for _ in range(count):
+        sel = rng.getrandbits(32)
+        yield tuple(universe[i] for i in range(32) if sel >> i & 1)
 
 
 class TestFindInducedCopy:
@@ -110,12 +120,8 @@ class TestAgainstBruteForce:
             assert with_sym == without, masks
 
     def test_engines_agree_on_boolean_and_chain_targets(self):
-        rng = random.Random(99)
         chain_posets = [build_poset(s) for s in ("2C2", "C3+C1", "3C1")]
-        universe = sorted(range(32), key=canonical_key)
-        for _ in range(150):
-            sel = rng.getrandbits(32)
-            masks = tuple(universe[i] for i in range(32) if sel >> i & 1)
+        for masks in random_families(150):
             for poset in chain_posets:
                 a = CopySearch(masks, poset, engine="chains").find() is not None
                 b = CopySearch(masks, poset, engine="generic").find() is not None
@@ -179,6 +185,100 @@ class TestAgainstBruteForce:
             for poset in posets:
                 if find_induced_copy(family, poset) is not None:
                     assert find_induced_copy(grown, poset) is not None
+
+
+class TestIncrementalSearch:
+    CHAIN_SPECS = ("2C2", "C3+C1", "3C1")
+
+    @pytest.mark.parametrize("engine", ["chains", "generic"])
+    def test_with_member_matches_fresh_search(self, engine):
+        specs = self.CHAIN_SPECS + (("B2",) if engine == "generic" else ())
+        posets = [build_poset(s) for s in specs]
+        for masks in random_families(40):
+            absent = [g for g in range(32) if g not in masks]
+            if len(absent) < 2:
+                continue
+            g, probes = absent[len(absent) // 2], absent[::3]
+            for poset in posets:
+                fresh = CopySearch(masks + (g,), poset, engine=engine)
+                # Grown right away, after a search pinned at another subset,
+                # and after one pinned at g itself.
+                for last in (None, absent[0], g):
+                    base = CopySearch(masks, poset, engine=engine)
+                    if last is not None:
+                        base.find_containing(last)
+                    grown = base.with_member(g)
+                    assert grown.masks == fresh.masks
+                    assert grown.find() == fresh.find(), (masks, g, poset.spec)
+                    for h in probes:
+                        if h != g:
+                            assert grown.find_containing(h) == fresh.find_containing(h), (
+                                masks, g, h, poset.spec)
+
+    @pytest.mark.parametrize("engine", ["auto", "chains", "generic"])
+    def test_member_by_member_growth(self, engine):
+        # The pattern greedy completion uses: grow one member at a time.
+        family = construct_2ck_c1(6, 3)
+        P = build_poset("2C3+C1")
+        searcher = CopySearch((), P, engine=engine)
+        for i, g in enumerate(family.sets):
+            searcher = searcher.with_member(g)
+            fresh = CopySearch(family.sets[: i + 1], P, engine=engine)
+            assert searcher.find() == fresh.find()
+        for g in range(1 << 6):
+            if g not in family.sets:
+                assert searcher.find_containing(g) == fresh.find_containing(g), g
+
+
+def _verdicts(cases):
+    """find and find_containing verdicts of the auto engine on each case."""
+    out = []
+    for masks, n, poset in cases:
+        searcher = CopySearch(masks, poset)
+        out.append(searcher.find() is None)
+        out.extend(
+            searcher.find_containing(g) is None
+            for g in range(1 << n)
+            if g not in masks
+        )
+    return out
+
+
+class TestChainEngineLimits:
+    CASES = [(m, 5, build_poset(s)) for m in random_families(30)
+             for s in ("2C2", "C3+C1", "3C1")] + [
+        (construct_mc2_binom(6, 1).sets, 6, build_poset("3C2")),
+        (construct_2ck_c1(6, 3).sets, 6, build_poset("2C3+C1")),
+    ]
+
+    def test_uncached_adjacency_keeps_verdicts(self, monkeypatch):
+        expected = _verdicts(self.CASES)
+        monkeypatch.setattr(_ChainEngine, "ADJ_CACHE_NODES", 0)
+        masks, _, poset = self.CASES[-1]
+        assert CopySearch(masks, poset)._chain.adj is None
+        assert _verdicts(self.CASES) == expected
+
+    def test_generic_fallback_keeps_verdicts(self, monkeypatch):
+        expected = _verdicts(self.CASES)
+        monkeypatch.setattr(_ChainEngine, "MAX_NODES", 0)
+        masks, _, poset = self.CASES[-1]
+        assert CopySearch(masks, poset)._chain is None
+        assert _verdicts(self.CASES) == expected
+
+    def test_fallback_while_growing(self, monkeypatch):
+        family = construct_2ck_c1(6, 3)
+        P = build_poset("2C3+C1")
+        absent = [g for g in range(1 << 6) if g not in family.sets]
+        reference = CopySearch(family.sets, P)
+        expected = [reference.find_containing(g) is None for g in absent]
+        monkeypatch.setattr(_ChainEngine, "MAX_NODES", 10)
+        searcher = CopySearch((), P)
+        assert searcher._chain is not None
+        for g in family.sets:
+            searcher = searcher.with_member(g)
+        assert searcher._chain is None
+        assert searcher.find() is None
+        assert [searcher.find_containing(g) is None for g in absent] == expected
 
 
 class TestVerifyEmbedding:

@@ -93,6 +93,17 @@ class TestExceptions:
         assert isinstance(err.value.partial, Family)
         assert err.value.partial_count == len(err.value.partial)
 
+    def test_pooled_sweep_attaches_partial_results(self, monkeypatch):
+        # As above, with 109 candidates: enough to go to the pool.
+        import posetsat.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "is_induced_p_free", lambda *a, **k: True)
+        family = construct_b3(7)
+        with pytest.raises(BudgetExceededError) as err:
+            exceptions(family, build_poset("B3"), node_budget=40, workers=2)
+        assert isinstance(err.value.partial, Family)
+        assert err.value.partial_count == len(err.value.partial)
+
     def test_workers_do_not_change_output(self):
         family = construct_mc2_binom(7, 1)
         P = build_poset("3C2")
