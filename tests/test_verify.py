@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_has_copy
 from posetsat.constructs import (
@@ -10,10 +13,12 @@ from posetsat.constructs import (
     construct_mc2_binom,
     construct_mck,
 )
-from posetsat.embed import BudgetExceededError, find_induced_copy
+from posetsat.embed import BudgetExceededError, CopySearch, find_induced_copy
 from posetsat.posetspec import build_poset
 from posetsat.setfam import Family, canonicalize_family, mask_of
 from posetsat.verify import (
+    _representatives,
+    _twin_classes,
     exceptions,
     greedy_saturate,
     is_induced_p_free,
@@ -86,7 +91,7 @@ class TestExceptions:
         # searches cannot meet.
         import posetsat.verify as verify_mod
 
-        monkeypatch.setattr(verify_mod, "is_induced_p_free", lambda *a, **k: True)
+        monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
         family = construct_b3(5)
         with pytest.raises(BudgetExceededError) as err:
             exceptions(family, build_poset("B3"), node_budget=40)
@@ -97,7 +102,7 @@ class TestExceptions:
         # As above, with 109 candidates: enough to go to the pool.
         import posetsat.verify as verify_mod
 
-        monkeypatch.setattr(verify_mod, "is_induced_p_free", lambda *a, **k: True)
+        monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
         family = construct_b3(7)
         with pytest.raises(BudgetExceededError) as err:
             exceptions(family, build_poset("B3"), node_budget=40, workers=2)
@@ -250,7 +255,7 @@ class TestReport:
     def test_report_budget_exceeded_partial_sweep(self, monkeypatch):
         import posetsat.verify as verify_mod
 
-        monkeypatch.setattr(verify_mod, "is_induced_p_free", lambda *a, **k: True)
+        monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
         report = verification_report(construct_b3(5), "B3", node_budget=40)
         assert report.is_free is True
         assert report.budget_exceeded
@@ -259,3 +264,208 @@ class TestReport:
         report = verification_report(fam(2, [1]), "C2")
         assert report_to_json(report, list_exceptions=True)["exceptions"] == [[2]]
         assert report_to_json(report, list_exceptions=False)["exceptions"] == []
+
+
+# -- the orbit-reduced sweep --------------------------------------------------
+
+
+def reference_exceptions(family, poset):
+    """Unreduced sweep: one pinned search for every absent subset."""
+    searcher = CopySearch(family.sets, poset)
+    members = set(family.sets)
+    return canonicalize_family(
+        [
+            g
+            for g in range(1 << family.n)
+            if g not in members and searcher.find_containing(g) is None
+        ],
+        family.n,
+    )
+
+
+def class_sizes(family):
+    return [cls.bit_count() for cls in _twin_classes(set(family.sets), family.n)]
+
+
+def relabel(family, perm):
+    """Image of the family under the ground permutation i -> perm[i]."""
+    return canonicalize_family(
+        [sum(1 << perm[i] for i in range(family.n) if m >> i & 1) for m in family.sets],
+        family.n,
+    )
+
+
+def chain_family(n):
+    """The full chain {} < {1} < {1, 2} < ... < [n]."""
+    return canonicalize_family([(1 << i) - 1 for i in range(n + 1)], n)
+
+
+# Chain unions (the chain engine) and Boolean lattices (the generic one).
+SPECS = ["C2", "2C1", "3C1", "C3", "2C2", "C2+C1", "C3+C1", "B2", "B3"]
+
+
+@st.composite
+def families(draw, max_n=6):
+    """Random families over [n], n <= max_n.  Half of them are closed under
+    the symmetric groups of a random partition of [n] (each member brings
+    every subset meeting each block in as many elements), so that they have
+    twin classes of several elements."""
+    n = draw(st.integers(1, max_n))
+    seeds = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    if draw(st.booleans()):
+        block_of = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        blocks = [sum(1 << i for i in range(n) if block_of[i] == b) for b in set(block_of)]
+
+        def pattern(m):
+            return [(m & b).bit_count() for b in blocks]
+
+        wanted = {tuple(pattern(m)) for m in seeds}
+        seeds = [g for g in range(1 << n) if tuple(pattern(g)) in wanted]
+    return canonicalize_family(seeds, n)
+
+
+class TestTwinClasses:
+    @pytest.mark.parametrize("n", [4, 5, 8, 12])
+    def test_b3_classes(self, n):
+        assert class_sizes(construct_b3(n)) == [2, n - 2]
+
+    def test_named_constructions(self):
+        assert class_sizes(construct_mc2_binom(11, 2)) == [4, 1, 6]
+        assert class_sizes(construct_2ck_c1(11, 4)) == [4, 3, 4]
+        assert class_sizes(construct_mc2_binom(7, 1)) == [2, 1, 4]
+
+    @pytest.mark.parametrize(
+        "family,count", [(construct_b3(12), 33), (construct_mck(14, 3, 3), 9216)]
+    )
+    def test_representative_counts(self, family, count):
+        # One representative per vector of class intersection sizes; the
+        # sweep searches those outside the family.
+        classes = _twin_classes(set(family.sets), family.n)
+        assert math.prod(cls.bit_count() + 1 for cls in classes) == count
+        # Orbits lie wholly inside or outside the family, so the members
+        # take up one representative per distinct size vector.
+        present = {tuple((m & c).bit_count() for c in classes) for m in family.sets}
+        assert len(_representatives(classes, set(family.sets))) == count - len(present)
+
+    def test_boolean_lattice_is_one_class(self):
+        assert class_sizes(boolean_family(4)) == [4]
+
+
+NAMED = [
+    (construct_mck(9, 2, 3), "2C3"),
+    (construct_mck(10, 2, 3), "2C3"),
+    (construct_mc2_binom(6, 1), "3C2"),
+    (construct_mc2_binom(7, 1), "3C2"),
+    (construct_mc2_binom(7, 2), "7C2"),
+    (construct_mc2_binom(8, 2), "7C2"),
+    (construct_2ck_c1(6, 3), "2C3+C1"),
+    (construct_2ck_c1(7, 3), "2C3+C1"),
+    (construct_b3(5), "B3"),
+    (construct_b3(6), "B3"),
+    (boolean_family(3, "empty_and_full"), "2C3+C1"),
+    (boolean_family(4, "empty_and_full"), "2C3+C1"),
+]
+
+
+class TestReducedSweep:
+    @pytest.mark.parametrize("family,spec", NAMED)
+    def test_named_constructions_match_full_sweep(self, family, spec):
+        poset = build_poset(spec)
+        assert exceptions(family, poset) == reference_exceptions(family, poset)
+
+    @settings(max_examples=150, deadline=None)
+    @given(families(), st.sampled_from(SPECS))
+    def test_random_families_match_full_sweep(self, family, spec):
+        poset = build_poset(spec)
+        if not is_induced_p_free(family, poset):
+            with pytest.raises(ValueError):
+                exceptions(family, poset)
+            return
+        got = exceptions(family, poset)
+        assert got == reference_exceptions(family, poset)
+        if family.n <= 4 and poset.size <= 4:
+            members = set(family.sets)
+            want = [
+                g
+                for g in range(1 << family.n)
+                if g not in members
+                and not brute_force_has_copy(family.sets + (g,), poset)
+            ]
+            assert got == canonicalize_family(want, family.n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), families(), st.sampled_from(SPECS))
+    def test_relabeling_commutes_with_exceptions(self, data, family, spec):
+        # exceptions(pi F, P) == pi exceptions(F, P).  Relabeling moves the
+        # twin classes, so the two sides expand different orbits.
+        poset = build_poset(spec)
+        perm = data.draw(st.permutations(range(family.n)))
+        moved = relabel(family, perm)
+        if not is_induced_p_free(family, poset):
+            with pytest.raises(ValueError):
+                exceptions(moved, poset)
+            return
+        assert exceptions(moved, poset) == relabel(exceptions(family, poset), perm)
+
+
+class TestOneFreenessSearch:
+    def test_one_find_per_call(self, monkeypatch):
+        calls = []
+        original = CopySearch.find
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.masks)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CopySearch, "find", counting)
+        family = construct_b3(5)
+        poset = build_poset("B3")
+        for run in (
+            lambda: exceptions(family, poset),
+            lambda: is_saturated(family, poset),
+            lambda: verification_report(family, "B3"),
+        ):
+            calls.clear()
+            run()
+            assert calls == [family.sets]
+
+
+class TestPoolOnTwinFreeFamily:
+    # The full chain has only singleton twin classes, so all 120 absent
+    # subsets are representatives: enough to go to the pool.
+
+    @pytest.fixture
+    def pool_starts(self, monkeypatch):
+        import posetsat.verify as verify_mod
+
+        starts = []
+
+        class RecordingPool(verify_mod.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", RecordingPool)
+        return starts
+
+    def test_chain_is_twin_free(self):
+        assert class_sizes(chain_family(7)) == [1] * 7
+
+    def test_workers_do_not_change_output(self, pool_starts):
+        family = chain_family(7)
+        poset = build_poset("C3+C1")
+        pooled = exceptions(family, poset, workers=2)
+        assert pool_starts == [2]
+        assert pooled == exceptions(family, poset)
+        assert len(pooled) == 16
+
+    def test_pooled_sweep_attaches_partial_results(self, monkeypatch, pool_starts):
+        import posetsat.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
+        family = chain_family(7)
+        with pytest.raises(BudgetExceededError) as err:
+            exceptions(family, build_poset("2C2"), node_budget=5, workers=2)
+        assert pool_starts == [2]
+        assert isinstance(err.value.partial, Family)
+        assert err.value.partial_count == len(err.value.partial) > 0
