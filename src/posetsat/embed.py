@@ -24,9 +24,13 @@ Both engines read one containment index of the family (up, down and
 incomparable rows as bitsets over family indices), built by one pairwise
 pass; adding a member grows it in O(|F|).
 
-Chains of equal length are interchangeable, so both engines may order them
-canonically; this removes a factorial blowup without changing whether a
-copy exists.  Every search carries a node budget and raises
+Chains of equal length are interchangeable.  The chain engine picks their
+interval nodes in ascending order, which removes a factorial blowup
+without changing whether a copy exists.  The generic engine does not break
+this symmetry: on a chain target it finds a copy exactly when the chain
+engine does, possibly a different one, and a target with many equal
+chains costs it more search.
+Every search carries a node budget and raises
 :class:`BudgetExceededError` when it runs out, which callers must keep
 distinct from "no copy".
 """
@@ -48,18 +52,12 @@ class BudgetExceededError(RuntimeError):
     """Search ran out of nodes before reaching a verdict.
 
     Sweeps that abort midway attach what they had: ``partial`` holds the
-    results gathered so far, ``partial_count`` their number.
+    results gathered so far.
     """
 
-    def __init__(
-        self,
-        message: str = "node budget exceeded",
-        partial: object = None,
-        partial_count: int | None = None,
-    ):
+    def __init__(self, message: str = "node budget exceeded", partial: object = None):
         super().__init__(message)
         self.partial = partial
-        self.partial_count = partial_count
 
 
 @dataclass(frozen=True)
@@ -87,20 +85,19 @@ class _FamilyIndex:
     """Pairwise containment structure of distinct masks, as index bitsets.
 
     ``up[i]`` holds j iff masks[i] is a proper subset of masks[j]; ``down``
-    and ``inc`` are the mirror and the incomparable set; ``gt[i]`` holds j
-    iff masks[j] > masks[i] numerically (used for symmetry breaking).
-    Both engines read it: the generic one all four rows, the chain engine
-    ``up`` and ``down``.
+    and ``inc`` are the mirror and the incomparable set.  Both engines read
+    it: the generic one all three rows, the chain engine ``up`` and
+    ``down``.
     """
 
-    __slots__ = ("masks", "up", "down", "inc", "gt", "all_bits")
+    __slots__ = ("masks", "up", "down", "inc", "all_bits")
 
     def __init__(self, masks: tuple[int, ...], _rows=None):
         self.masks = masks
         nf = len(masks)
         self.all_bits = (1 << nf) - 1
         if _rows is not None:
-            self.up, self.down, self.inc, self.gt = _rows
+            self.up, self.down, self.inc = _rows
             return
         up = [0] * nf
         down = [0] * nf
@@ -117,34 +114,31 @@ class _FamilyIndex:
         self.up, self.down = up, down
         # Members are distinct, so whatever is neither above nor below is apart.
         self.inc = [self.all_bits & ~(u | d | 1 << i) for i, (u, d) in enumerate(zip(up, down))]
-        gt = [0] * nf
-        greater = 0
-        for i in sorted(range(nf), key=masks.__getitem__, reverse=True):
-            gt[i] = greater
-            greater |= 1 << i
-        self.gt = gt
 
-    def relation_to(self, g: int) -> tuple[int, int, int]:
-        """Bitsets of the members below g, above g, and numerically below g."""
-        below = above = less = 0
+    def relation_to(self, g: int) -> tuple[int, int]:
+        """Bitsets of the members strictly below g and strictly above g.
+
+        Raises ValueError if g is already a member.
+        """
+        below = above = 0
         bit = 1
         for a in self.masks:
             if a & g == a:
+                if a == g:
+                    raise ValueError(f"{g:#x} is already a member of the family")
                 below |= bit
             elif a & g == g:
                 above |= bit
-            if a < g:
-                less |= bit
             bit <<= 1
-        return below, above, less
+        return below, above
 
     def extended(self, g: int) -> "_FamilyIndex":
-        """Index for masks + (g,); g must not already be a member."""
-        below, above, less = self.relation_to(g)
+        """Index for masks + (g,); raises ValueError if g is a member."""
+        below, above = self.relation_to(g)
         apart = self.all_bits & ~below & ~above
         bit = 1 << len(self.masks)
-        up, down, inc, gt = self.up[:], self.down[:], self.inc[:], self.gt[:]
-        for row, sel in ((up, below), (down, above), (inc, apart), (gt, less)):
+        up, down, inc = self.up[:], self.down[:], self.inc[:]
+        for row, sel in ((up, below), (down, above), (inc, apart)):
             while sel:
                 low = sel & -sel
                 sel ^= low
@@ -152,16 +146,15 @@ class _FamilyIndex:
         up.append(above)
         down.append(below)
         inc.append(apart)
-        gt.append(self.all_bits & ~less)
-        return _FamilyIndex(self.masks + (g,), _rows=(up, down, inc, gt))
+        return _FamilyIndex(self.masks + (g,), _rows=(up, down, inc))
 
 
 class _SearchPlan:
-    """Per-target data: pairwise relations and symmetry-break bottom links."""
+    """Per-target data: the relation of every ordered pair of elements."""
 
-    __slots__ = ("size", "rel", "bottom_prev", "bottom_next")
+    __slots__ = ("size", "rel")
 
-    def __init__(self, poset: ComparabilityMatrix, symmetry_break: bool = True):
+    def __init__(self, poset: ComparabilityMatrix):
         p = poset.size
         rows = poset.leq_rows
         rel = [[_INC] * p for _ in range(p)]
@@ -175,17 +168,6 @@ class _SearchPlan:
                     rel[i][j] = _GT
         self.size = p
         self.rel = rel
-        bottom_prev: dict[int, int] = {}
-        bottom_next: dict[int, int] = {}
-        if symmetry_break and poset.chains is not None:
-            prev = None
-            for chain in poset.chains:
-                if prev is not None and len(prev) == len(chain):
-                    bottom_prev[chain[0]] = prev[0]
-                    bottom_next[prev[0]] = chain[0]
-                prev = chain
-        self.bottom_prev = bottom_prev
-        self.bottom_next = bottom_next
 
 
 def _run(
@@ -205,9 +187,8 @@ def _run(
     if nf < p:
         return None
     rel = plan.rel
-    up, down, inc = index.up, index.down, index.inc
-    gt, all_bits = index.gt, index.all_bits
-    masks = index.masks
+    rows = (index.up, index.down, index.inc)  # indexed by _LT, _GT, _INC
+    all_bits = index.all_bits
 
     assigned = [-1] * p
     used = 0
@@ -221,36 +202,22 @@ def _run(
     if not order:
         return assigned
 
-    # Constraint sources per depth: pinned position first, then the prefix.
-    sources: list[list[tuple[int, int]]] = []
+    # Constraint sources per depth: pinned position first, then the prefix,
+    # each with the index rows that hold the images it allows.
+    sources: list[list[tuple[int, list[int]]]] = []
     for d, pos in enumerate(order):
         srcs = []
         if pin_pos is not None:
-            srcs.append((pin_pos, rel[pin_pos][pos]))
-        srcs.extend((q, rel[q][pos]) for q in order[:d])
+            srcs.append((pin_pos, rows[rel[pin_pos][pos]]))
+        srcs.extend((q, rows[rel[q][pos]]) for q in order[:d])
         sources.append(srcs)
-    bprev = [plan.bottom_prev.get(pos) for pos in order]
-    bnext = [plan.bottom_next.get(pos) for pos in order]
 
     def candidates(d: int) -> int:
         cand = all_bits & ~used
-        for q, r in sources[d]:
-            iq = assigned[q]
-            if r == _LT:
-                cand &= up[iq]
-            elif r == _GT:
-                cand &= down[iq]
-            else:
-                cand &= inc[iq]
+        for q, row in sources[d]:
+            cand &= row[assigned[q]]
             if not cand:
                 return 0
-        q = bprev[d]
-        if q is not None and assigned[q] >= 0:
-            cand &= gt[assigned[q]]
-        q = bnext[d]
-        if q is not None and assigned[q] >= 0:
-            j = assigned[q]
-            cand &= all_bits & ~gt[j] & ~(1 << j)
         return cand
 
     m = len(order)
@@ -295,14 +262,12 @@ class _ChainEngine:
     host which lengths.  Cross-incomparability of two chains reduces to
     their extremes: bottom of each must escape the top of the other, so
     compatibility of a node against everything chosen is two bitset ANDs.
+    Chains of equal length take their nodes in ascending order.
     """
 
     __slots__ = (
         "index",
-        "sym",
-        "groups",
         "slots",
-        "slot_group",
         "ml",
         "nodes",
         "node_count",
@@ -315,25 +280,21 @@ class _ChainEngine:
         "adj",
     )
 
-    # Above this many interval nodes the generic engine takes over.
+    # Above this many interval nodes the generic engine takes over.  At
+    # n <= 16 the only named construction past it is 2ck-c1(16,8) / 2C8+C1
+    # (102,449 nodes), whose freeness check runs both engines out of a
+    # 20M-node budget.
     MAX_NODES = 50_000
-    # Adjacency rows are materialized only below this node count.
+    # Adjacency rows are materialized only up to this node count: without
+    # them the chain-sweep benchmark took 0.66 s against 0.56 s.  Within
+    # the n <= 16 sweep cap only 2ck-c1(15..16,7) / 2C7+C1 (26,441 nodes)
+    # runs uncached.
     ADJ_CACHE_NODES = 8_000
 
-    def __init__(self, index: _FamilyIndex, poset: ComparabilityMatrix, symmetry_break: bool):
+    def __init__(self, index: _FamilyIndex, poset: ComparabilityMatrix):
         self.index = index
-        self.sym = symmetry_break
-        # Chains grouped by length, longest first; remember original ids.
-        lengths: dict[int, list[int]] = {}
-        for cid, chain in enumerate(poset.chains):
-            lengths.setdefault(len(chain), []).append(cid)
-        self.groups = sorted(lengths.items(), key=lambda kv: -kv[0])
-        self.slots = []
-        self.slot_group = []
-        for gi, (length, chain_ids) in enumerate(self.groups):
-            for _ in chain_ids:
-                self.slots.append(length)
-                self.slot_group.append(gi)
+        # One slot per target chain, longest first.
+        self.slots = sorted((len(chain) for chain in poset.chains), reverse=True)
 
         masks, up, down = index.masks, index.up, index.down
         nf = len(masks)
@@ -344,10 +305,8 @@ class _ChainEngine:
         self.ml = ml
 
         # Interval nodes, ordered by (bottom index, top index).
-        min_len = min(
-            (length for length, _ in self.groups if length >= 2), default=None
-        )
-        want_single = any(length == 1 for length, _ in self.groups)
+        min_len = min((length for length in self.slots if length >= 2), default=None)
+        want_single = self.slots[-1] == 1
         nodes: list[tuple[int, int]] = []
         for b in range(nf):
             if want_single:
@@ -365,7 +324,7 @@ class _ChainEngine:
         self.all_nodes = (1 << len(nodes)) - 1
 
         self.len_ok = {}
-        for length, _ in self.groups:
+        for length in set(self.slots):
             ok = 0
             for c, (b, t) in enumerate(nodes):
                 if length == 1:
@@ -406,14 +365,13 @@ class _ChainEngine:
         b, t = self.nodes[c]
         return self.all_nodes & ~self.nb[t] & ~self.nt[b]
 
-    def _solve(self, slots: list[int], slot_group: list[int], cand: int, budget: list[int]):
+    def _solve(self, slots: list[int], cand: int, budget: list[int]):
         """Pick one compatible node per slot; returns chosen node ids or None."""
         total = len(slots)
         if total == 0:
             return []
         adj = self.adj
         compat = self._compat
-        sym = self.sym
         chosen = [0] * total
         avail = [0] * total
         cand_stack = [0] * total
@@ -439,7 +397,7 @@ class _ChainEngine:
                 return chosen
             nxt = cand_stack[depth] & (adj[v] if adj is not None else compat(v))
             a = nxt & self.len_ok[slots[depth + 1]]
-            if sym and slot_group[depth + 1] == slot_group[depth]:
+            if slots[depth + 1] == slots[depth]:
                 a &= -1 << (v + 1)  # equal chains in ascending node order
             depth += 1
             cand_stack[depth] = nxt
@@ -469,7 +427,7 @@ class _ChainEngine:
         return by_len
 
     def find(self, budget: list[int]):
-        chosen = self._solve(self.slots, self.slot_group, self.all_nodes, budget)
+        chosen = self._solve(self.slots, self.all_nodes, budget)
         if chosen is None:
             return None
         return self._assemble(chosen, self.slots)
@@ -477,7 +435,7 @@ class _ChainEngine:
     def find_containing(self, g: int, budget: list[int]):
         """A copy inside masks + {g} whose image uses g; g is not a member."""
         index = self.index
-        down_set, up_set, _ = index.relation_to(g)
+        down_set, up_set = index.relation_to(g)
         nb_g = self._gather(self.by_bottom, down_set)
         nt_g = self._gather(self.by_top, up_set)
         down_len = up_len = None  # read only where g's own chain is longer than g
@@ -485,20 +443,9 @@ class _ChainEngine:
             down_len = _reach(index.masks, down_set, index.up, True)
             up_len = _reach(index.masks, up_set, index.down, False)
 
-        seen_lengths = set()
-        for gi, (length, _) in enumerate(self.groups):
-            if length in seen_lengths:
-                continue
-            seen_lengths.add(length)
-            rest_slots = []
-            rest_group = []
-            dropped = False
-            for s, sg in zip(self.slots, self.slot_group):
-                if not dropped and s == length:
-                    dropped = True
-                    continue
-                rest_slots.append(s)
-                rest_group.append(sg)
+        for length in dict.fromkeys(self.slots):  # each length once, longest first
+            rest_slots = self.slots[:]
+            rest_slots.remove(length)
             scored = []
             for b, t in self._g_classes(length, down_set, up_set, down_len, up_len):
                 cand = self.all_nodes
@@ -511,7 +458,7 @@ class _ChainEngine:
                 if budget[0] < 0:
                     budget[0] = 0
                     raise BudgetExceededError()
-                chosen = self._solve(rest_slots, rest_group, cand, budget)
+                chosen = self._solve(rest_slots, cand, budget)
                 if chosen is None:
                     continue
                 g_path = self._g_path(g, b, t, length, down_set, up_set, down_len, up_len)
@@ -635,7 +582,6 @@ class CopySearch:
         self,
         masks: tuple[int, ...],
         poset: ComparabilityMatrix,
-        symmetry_break: bool = True,
         engine: str = "auto",
     ):
         if engine not in ("auto", "chains", "generic"):
@@ -644,7 +590,6 @@ class CopySearch:
             raise ValueError("chain engine needs a pure chain-union target")
         self.masks = masks
         self.poset = poset
-        self.symmetry_break = symmetry_break
         self.engine_name = engine
         self._index = _FamilyIndex(masks)
         self._plan: _SearchPlan | None = None
@@ -655,11 +600,11 @@ class CopySearch:
         """Chain engine over the index where it serves, else the generic plan."""
         self._chain: _ChainEngine | None = None
         if self.engine_name != "generic" and self.poset.chains is not None:
-            chain = _ChainEngine(self._index, self.poset, self.symmetry_break)
+            chain = _ChainEngine(self._index, self.poset)
             if self.engine_name == "chains" or chain.node_count <= _ChainEngine.MAX_NODES:
                 self._chain = chain
                 return
-        self._plan = _SearchPlan(self.poset, self.symmetry_break)
+        self._plan = _SearchPlan(self.poset)
 
     def _to_embedding(self, by_len: dict[int, list[list[int]]]) -> Embedding:
         assignment = [0] * self.poset.size
@@ -683,7 +628,10 @@ class CopySearch:
     def find_containing(
         self, g: int, node_budget: int = DEFAULT_NODE_BUDGET
     ) -> Embedding | None:
-        """Some induced copy in family + {g} that uses g; g not a member."""
+        """Some induced copy in family + {g} that uses g.
+
+        Raises ValueError if g is already a member.
+        """
         budget = [node_budget]
         if self._chain is not None:
             by_len = self._chain.find_containing(g, budget)
@@ -697,7 +645,9 @@ class CopySearch:
         return None
 
     def with_member(self, g: int) -> "CopySearch":
-        """Searcher for the family extended by g; g must not be a member.
+        """Searcher for the family extended by g.
+
+        Raises ValueError if g is already a member.
 
         The index grows in O(|F|), or is taken over from the last
         ``find_containing(g)``, and is all the generic engine needs; the
@@ -727,8 +677,6 @@ def find_induced_copy(
     require: int | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
     order_seed: int = 0,
-    symmetry_break: bool = True,
-    engine: str = "auto",
 ) -> Embedding | None:
     """Search the family for an induced copy of the target poset.
 
@@ -748,10 +696,8 @@ def find_induced_copy(
         if require not in masks:
             raise ValueError("required mask is not a member of the family")
         rest = tuple(m for m in masks if m != require)
-        searcher = CopySearch(rest, poset, symmetry_break, engine)
-        return searcher.find_containing(require, node_budget)
-    searcher = CopySearch(masks, poset, symmetry_break, engine)
-    return searcher.find(node_budget)
+        return CopySearch(rest, poset).find_containing(require, node_budget)
+    return CopySearch(masks, poset).find(node_budget)
 
 
 def verify_embedding(

@@ -200,19 +200,6 @@ class ComparabilityMatrix:
     def leq(self, i: int, j: int) -> bool:
         return self.leq_rows[i] >> j & 1 == 1
 
-    def strict_pair_count(self) -> int:
-        return sum(row.bit_count() for row in self.leq_rows) - self.size
-
-    def minimal_elements(self) -> list[int]:
-        below = [0] * self.size
-        for i, row in enumerate(self.leq_rows):
-            r = row & ~(1 << i)
-            while r:
-                low = r & -r
-                below[low.bit_length() - 1] |= 1
-                r ^= low
-        return [i for i in range(self.size) if not below[i]]
-
 
 def _boolean_element_masks(base: BooleanBase) -> list[int]:
     full = (1 << base.k) - 1

@@ -38,10 +38,6 @@ class SolveResult:
     nodes_explored: int
 
 
-class _OutOfNodes(Exception):
-    pass
-
-
 def sat_star_exact(
     n: int,
     poset: ComparabilityMatrix,
@@ -58,9 +54,9 @@ def sat_star_exact(
     """
     if n > 16:
         raise ValueError("saturation checks enumerate 2^n subsets; n <= 16 only")
-    empty = Family(n, ())
     try:
-        incumbent = greedy_upper_bound(n, poset, inner_budget=inner_budget)
+        # A saturated family, greedily completed from the empty one.
+        incumbent = greedy_saturate(Family(n, ()), poset, node_budget=inner_budget)
     except BudgetExceededError:
         return SolveResult("budget_exceeded", None, None, 0)
 
@@ -68,11 +64,7 @@ def sat_star_exact(
     nodes = 0
 
     def saturated(masks: tuple[int, ...]) -> bool:
-        fam = Family(n, masks)
-        exc = exceptions(
-            fam, poset, node_budget=inner_budget, max_ground=max(n, 16)
-        )
-        return len(exc) == 0
+        return len(exceptions(Family(n, masks), poset, node_budget=inner_budget)) == 0
 
     def dfs(start: int, search: CopySearch, left: int):
         nonlocal nodes
@@ -85,7 +77,7 @@ def sat_star_exact(
                 continue  # first set must be an initial segment of [n]
             nodes += 1
             if nodes > node_budget:
-                raise _OutOfNodes
+                raise BudgetExceededError("solver node budget exceeded")
             if search.find_containing(g, inner_budget) is not None:
                 continue  # prefix would already contain a copy
             found = dfs(upos + 1, search.with_member(g), left - 1)
@@ -94,11 +86,7 @@ def sat_star_exact(
         return None
 
     try:
-        for size in range(0, len(incumbent) + 1):
-            if size == 0:
-                if saturated(()):
-                    return SolveResult("exact", 0, empty, nodes)
-                continue
+        for size in range(len(incumbent) + 1):
             # The generic engine: its whole state is the containment index,
             # which with_member extends in O(|F|) per prefix; the chain
             # engine would rebuild its interval nodes at every prefix.
@@ -107,23 +95,13 @@ def sat_star_exact(
                 witness = Family(n, found)
                 if not is_induced_p_free(witness, poset, node_budget=inner_budget):
                     raise AssertionError("solver witness contains a copy of the target")
-                if len(exceptions(witness, poset, node_budget=inner_budget,
-                                  max_ground=max(n, 16))) != 0:
+                if len(exceptions(witness, poset, node_budget=inner_budget)) != 0:
                     raise AssertionError("solver witness is not saturated")
                 return SolveResult("exact", size, witness, nodes)
-    except (_OutOfNodes, BudgetExceededError):
+    except BudgetExceededError:
         return SolveResult("budget_exceeded", len(incumbent), incumbent, nodes)
     # The greedy incumbent is saturated, so the loop must return by then.
     raise AssertionError("search exhausted sizes without finding the incumbent")
-
-
-def greedy_upper_bound(
-    n: int, poset: ComparabilityMatrix, *, inner_budget: int = DEFAULT_NODE_BUDGET
-) -> Family:
-    """A saturated family obtained by greedy completion of the empty family."""
-    return greedy_saturate(
-        Family(n, ()), poset, node_budget=inner_budget, max_ground=max(n, 16)
-    )
 
 
 def solve_result_to_json(result: SolveResult) -> dict:

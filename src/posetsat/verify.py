@@ -184,11 +184,7 @@ def _sweep(
     cleared = [g for chunk, _ in results for g in chunk]
     found = _expand(cleared, classes, members, family.n)
     if any(aborted for _, aborted in results):
-        raise BudgetExceededError(
-            "exception sweep aborted by node budget",
-            partial=found,
-            partial_count=len(found),
-        )
+        raise BudgetExceededError("exception sweep aborted by node budget", partial=found)
     return found
 
 
@@ -272,9 +268,8 @@ def verification_report(
     node_budget: int = DEFAULT_NODE_BUDGET,
     max_ground: int = DEFAULT_ENUMERATION_CAP,
     workers: int = 1,
-    check_exceptions: bool = True,
 ) -> VerificationReport:
-    """Run the freeness check and (optionally) the exception sweep.
+    """Run the freeness check and, on a free family, the exception sweep.
 
     Budget overruns are folded into the report instead of raised: an
     undecided freeness check leaves ``is_free`` as None; an aborted sweep
@@ -290,7 +285,7 @@ def verification_report(
         free = _is_free(searcher, node_budget)
     except BudgetExceededError:
         return VerificationReport(poset_name, len(family), None, 0, empty, True)
-    if not free or not check_exceptions:
+    if not free:
         return VerificationReport(poset_name, len(family), free, 0, empty, False)
     _check_ground(family, max_ground)
     try:

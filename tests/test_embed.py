@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import all_families, brute_force_has_copy
 from posetsat.constructs import (
@@ -88,7 +90,7 @@ class TestFindInducedCopy:
 
 
 class TestAgainstBruteForce:
-    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    @pytest.mark.parametrize("spec", ORACLE_SPECS + ["2C1", "3C2"])
     def test_exhaustive_ground_three(self, spec):
         poset = build_poset(spec)
         for masks in all_families(3):
@@ -107,17 +109,6 @@ class TestAgainstBruteForce:
             family = Family(4, masks)
             got = find_induced_copy(family, poset) is not None
             assert got == brute_force_has_copy(masks, poset), masks
-
-    @pytest.mark.parametrize("spec", ORACLE_SPECS + ["2C1", "3C2"])
-    def test_symmetry_break_safety(self, spec):
-        poset = build_poset(spec)
-        for masks in all_families(3):
-            family = Family(3, masks)
-            with_sym = find_induced_copy(family, poset) is not None
-            without = (
-                find_induced_copy(family, poset, symmetry_break=False) is not None
-            )
-            assert with_sym == without, masks
 
     def test_engines_agree_on_boolean_and_chain_targets(self):
         chain_posets = [build_poset(s) for s in ("2C2", "C3+C1", "3C1")]
@@ -215,6 +206,18 @@ class TestIncrementalSearch:
                             assert grown.find_containing(h) == fresh.find_containing(h), (
                                 masks, g, h, poset.spec)
 
+    @pytest.mark.parametrize("engine", ["chains", "generic"])
+    @pytest.mark.parametrize("spec", ["C2", "2C1"])
+    def test_member_is_rejected(self, engine, spec):
+        poset = build_poset(spec)
+        for masks in [(0b01,), (0b01, 0b11, 0b10)]:
+            searcher = CopySearch(masks, poset, engine=engine)
+            for g in masks:
+                with pytest.raises(ValueError):
+                    searcher.find_containing(g)
+                with pytest.raises(ValueError):
+                    searcher.with_member(g)
+
     @pytest.mark.parametrize("engine", ["auto", "chains", "generic"])
     def test_member_by_member_growth(self, engine):
         # The pattern greedy completion uses: grow one member at a time.
@@ -228,6 +231,41 @@ class TestIncrementalSearch:
         for g in range(1 << 6):
             if g not in family.sets:
                 assert searcher.find_containing(g) == fresh.find_containing(g), g
+
+
+@st.composite
+def chain_search_cases(draw):
+    """A family over [n], n <= 6, and a chain-union target.
+
+    Lengths are drawn from 1..3, so targets often repeat a length (3C1,
+    2C2+C1): the chain engine orders equal chains, the generic one does not.
+    """
+    n = draw(st.integers(2, 6))
+    masks = tuple(sorted(set(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))),
+                         key=canonical_key))
+    lengths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    poset = build_poset("+".join(f"C{length}" for length in lengths))
+    return Family(n, masks), poset
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_search_cases())
+def test_engines_agree_on_random_chain_unions(case):
+    family, poset = case
+    chains = CopySearch(family.sets, poset, engine="chains")
+    generic = CopySearch(family.sets, poset, engine="generic")
+    a, b = chains.find(), generic.find()
+    assert (a is None) == (b is None)
+    for emb in (a, b):
+        assert emb is None or verify_embedding(family, poset, emb)
+    for g in range(1 << family.n):
+        if g in family.sets:
+            continue
+        a, b = chains.find_containing(g), generic.find_containing(g)
+        assert (a is None) == (b is None), g
+        grown = canonicalize_family(family.sets + (g,), family.n)
+        for emb in (a, b):
+            assert emb is None or (g in emb.assignment and verify_embedding(grown, poset, emb))
 
 
 def _verdicts(cases):

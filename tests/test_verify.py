@@ -96,10 +96,11 @@ class TestExceptions:
         with pytest.raises(BudgetExceededError) as err:
             exceptions(family, build_poset("B3"), node_budget=40)
         assert isinstance(err.value.partial, Family)
-        assert err.value.partial_count == len(err.value.partial)
 
     def test_pooled_sweep_attaches_partial_results(self, monkeypatch):
-        # As above, with 109 candidates: enough to go to the pool.
+        # As above with two workers.  b3(7) has only 13 representatives, too
+        # few for the pool, so this runs serially; the chain-family tests
+        # below cover a pooled abort.
         import posetsat.verify as verify_mod
 
         monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
@@ -107,7 +108,6 @@ class TestExceptions:
         with pytest.raises(BudgetExceededError) as err:
             exceptions(family, build_poset("B3"), node_budget=40, workers=2)
         assert isinstance(err.value.partial, Family)
-        assert err.value.partial_count == len(err.value.partial)
 
     def test_workers_do_not_change_output(self):
         family = construct_mc2_binom(7, 1)
@@ -468,4 +468,4 @@ class TestPoolOnTwinFreeFamily:
             exceptions(family, build_poset("2C2"), node_budget=5, workers=2)
         assert pool_starts == [2]
         assert isinstance(err.value.partial, Family)
-        assert err.value.partial_count == len(err.value.partial) > 0
+        assert len(err.value.partial) > 0
