@@ -98,6 +98,20 @@ class TestAgainstBruteForce:
             got = find_induced_copy(family, poset) is not None
             assert got == brute_force_has_copy(masks, poset), masks
 
+    @pytest.mark.parametrize("spec", ORACLE_SPECS + ["2C1", "3C2"])
+    def test_symmetry_break_safety(self, spec):
+        # The chain engine orders equal chains; the generic engine does not.
+        # Ordering must never lose a copy, with or without a required member.
+        poset = build_poset(spec)
+        for masks in all_families(3):
+            chains = CopySearch(masks, poset, engine="chains")
+            generic = CopySearch(masks, poset, engine="generic")
+            assert (chains.find() is None) == (generic.find() is None), masks
+            for g in set(range(8)) - set(masks):
+                a = chains.find_containing(g)
+                b = generic.find_containing(g)
+                assert (a is None) == (b is None), (masks, g)
+
     @pytest.mark.parametrize("spec", ORACLE_SPECS)
     def test_sampled_ground_four(self, spec):
         poset = build_poset(spec)
