@@ -4,10 +4,10 @@ Iterative deepening on the family size s = 0, 1, 2, ...: for each s a
 depth-first search runs over subsets of 2^[n] in canonical order, pruning
 every prefix that already contains an induced copy of the target (such a
 prefix can never extend to a free family).  A complete size-s family is
-accepted iff its exception set is empty, and the first acceptance is
-optimal because the sizes are tried in order.  Saturation is only decided
-on complete families; it is not monotone along prefixes, so checking it
-earlier would be unsound.
+accepted iff it is saturated, a check that stops at its first exception;
+the first acceptance is optimal because the sizes are tried in order.
+Saturation is only decided on complete families; it is not monotone along
+prefixes, so checking it earlier would be unsound.
 
 The only symmetry reduction is that the first chosen set must be an
 initial segment {1, ..., c}: relabeling the ground set maps saturated
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .embed import DEFAULT_NODE_BUDGET, BudgetExceededError, CopySearch
 from .posetspec import ComparabilityMatrix
 from .setfam import Family, canonical_key, family_to_json
-from .verify import exceptions, greedy_saturate, is_induced_p_free
+from .verify import exceptions, greedy_saturate, is_induced_p_free, is_saturated
 
 DEFAULT_SOLVER_BUDGET = 5_000_000
 
@@ -64,7 +64,8 @@ def sat_star_exact(
     nodes = 0
 
     def saturated(masks: tuple[int, ...]) -> bool:
-        return len(exceptions(Family(n, masks), poset, node_budget=inner_budget)) == 0
+        # Stops at the first exception; the witness below gets the full sweep.
+        return is_saturated(Family(n, masks), poset, node_budget=inner_budget)
 
     def dfs(start: int, search: CopySearch, left: int):
         nonlocal nodes

@@ -24,9 +24,12 @@ family whose classes are all singletons is swept subset by subset.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from math import comb, prod
 from operator import or_
 
 from .embed import (
@@ -119,73 +122,90 @@ def _representatives(classes: list[int], members: set[int]) -> list[int]:
     return sorted((g for g in reps if g not in members), key=canonical_key)
 
 
-def _orbit(rep: int, moving: list[int]) -> list[int]:
-    """Every subset meeting each class in as many elements as ``rep``, with
-    ``rep`` first; ``moving`` lists the classes of two or more elements."""
+def _expand(rep: int, size: int, classes: list[int], members: set[int]) -> list[int]:
+    """The orbit of an absent representative: every subset meeting each class
+    in as many elements as ``rep``, with ``rep`` first, checked against the
+    orbit ``size`` the sweep computed."""
     orbit = [rep]
-    for cls in moving:
+    for cls in classes:
         choices = [sum(c) for c in combinations(_singletons(cls), (rep & cls).bit_count())]
         orbit = [g & ~cls | c for g in orbit for c in choices]
+    if orbit[0] != rep or len(orbit) != size or any(g in members for g in orbit):
+        raise AssertionError(
+            f"orbit of representative {rep:#x} is not led by it, does not have "
+            f"{size} members, or meets the family"
+        )
     return orbit
 
 
-def _expand(reps: list[int], classes: list[int], members: set[int], n: int) -> Family:
-    """The union of the orbits of the given absent representatives."""
-    moving = [cls for cls in classes if cls & (cls - 1)]
-    out: list[int] = []
-    for rep in reps:
-        orbit = _orbit(rep, moving)
-        if orbit[0] != rep or any(g in members for g in orbit):
-            raise AssertionError(
-                f"orbit of representative {rep:#x} is not led by it or meets the family"
-            )
-        out.extend(orbit)
-    return canonicalize_family(out, n)
-
-
-def _search_chunk(searcher: CopySearch, chunk, node_budget: int) -> tuple[list[int], bool]:
-    """Return (non-completing candidates in chunk, aborted-by-budget)."""
-    out: list[int] = []
-    for g in chunk:
-        try:
-            found = searcher.find_containing(g, node_budget)
-        except BudgetExceededError:
-            return out, True
-        if found is None:
-            out.append(g)
+def _sweep_chunk(args) -> tuple[list[bool], bool]:
+    """Pool job: whether each representative of a chunk completes a copy, and
+    whether a search ran out of budget.  Ends there, or with ``first`` at a
+    representative that completes none."""
+    masks, poset, chunk, node_budget, first = args
+    searcher, out = CopySearch(masks, poset), []
+    try:
+        for g in chunk:
+            out.append(searcher.find_containing(g, node_budget) is not None)
+            if first and not out[-1]:
+                break
+    except BudgetExceededError:
+        return out, True
     return out, False
 
 
-def _sweep_chunk(args) -> tuple[list[int], bool]:
-    """Pool job: _search_chunk on a searcher built in the worker."""
-    masks, poset, chunk, node_budget = args
-    return _search_chunk(CopySearch(masks, poset), chunk, node_budget)
-
-
 def _sweep(
-    family: Family,
-    poset: ComparabilityMatrix,
-    searcher: CopySearch,
-    node_budget: int,
-    workers: int,
+    family: Family, poset: ComparabilityMatrix, searcher: CopySearch, classes: list[int],
+    node_budget: int, workers: int, first: bool = False,
+) -> Iterator[tuple[int, int, bool]]:
+    """Yield (representative, orbit size, completes a copy) for each absent
+    representative of a family ``searcher`` found free, in canonical order.
+    A budget overrun raises BudgetExceededError after the representatives
+    before it: pooled, after every chunk, or with ``first`` (stop at the
+    first exception) at once, cancelling the chunks not yet started."""
+    reps = _representatives(classes, set(family.sets))
+    moving = [(cls, cls.bit_count()) for cls in classes if cls & (cls - 1)]
+
+    def size(g: int) -> int:
+        return prod(comb(k, (g & cls).bit_count()) for cls, k in moving)
+
+    if workers <= 1 or len(reps) < POOL_THRESHOLD:
+        for g in reps:
+            yield g, size(g), searcher.find_containing(g, node_budget) is not None
+        return
+    step = (len(reps) + workers * 4 - 1) // (workers * 4)
+    chunks = [reps[i : i + step] for i in range(0, len(reps), step)]
+    jobs = [(family.sets, poset, chunk, node_budget, first) for chunk in chunks]
+    aborted = False
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        for chunk, (verdicts, chunk_aborted) in zip(chunks, pool.map(_sweep_chunk, jobs)):
+            yield from ((g, size(g), completes) for g, completes in zip(chunk, verdicts))
+            aborted |= chunk_aborted
+            if aborted and first:
+                break
+    finally:
+        pool.shutdown(cancel_futures=True)
+    if aborted:
+        raise BudgetExceededError("exception sweep aborted by node budget")
+
+
+def _exceptions(
+    family: Family, poset: ComparabilityMatrix, searcher: CopySearch, node_budget: int, workers: int
 ) -> Family:
-    """Exceptions of a family that ``searcher`` has already found free."""
+    """Drain the sweep into the union of the orbits of its non-completing
+    representatives; a budget overrun carries those swept before it."""
     members = set(family.sets)
     classes = _twin_classes(members, family.n)
-    candidates = _representatives(classes, members)
-    if workers <= 1 or len(candidates) < POOL_THRESHOLD:
-        results = [_search_chunk(searcher, candidates, node_budget)]
-    else:
-        step = (len(candidates) + workers * 4 - 1) // (workers * 4)
-        chunks = [candidates[i : i + step] for i in range(0, len(candidates), step)]
-        jobs = [(family.sets, poset, chunk, node_budget) for chunk in chunks]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_chunk, jobs))
-    cleared = [g for chunk, _ in results for g in chunk]
-    found = _expand(cleared, classes, members, family.n)
-    if any(aborted for _, aborted in results):
-        raise BudgetExceededError("exception sweep aborted by node budget", partial=found)
-    return found
+    out: list[int] = []
+    try:
+        for g, size, completes in _sweep(family, poset, searcher, classes, node_budget, workers):
+            if not completes:
+                out += _expand(g, size, classes, members)
+    except BudgetExceededError:
+        partial = canonicalize_family(out, family.n)
+        raise BudgetExceededError("exception sweep aborted by node budget", partial=partial)
+    return canonicalize_family(out, family.n)
 
 
 def exceptions(
@@ -213,7 +233,7 @@ def exceptions(
     searcher = CopySearch(family.sets, poset)
     if not _is_free(searcher, node_budget):
         raise ValueError("family already contains an induced copy of the target")
-    return _sweep(family, poset, searcher, node_budget, workers)
+    return _exceptions(family, poset, searcher, node_budget, workers)
 
 
 def is_saturated(
@@ -226,14 +246,20 @@ def is_saturated(
 ) -> bool:
     """Free, and every absent subset completes a copy.
 
+    The sweep stops at the first exception: a ``False`` is exact as soon as
+    one representative, in canonical order, fails to complete a copy.
     ``node_budget`` caps the freeness check and each representative's
-    search, not the whole sweep; running out raises BudgetExceededError.
+    search, not the whole sweep; BudgetExceededError is raised only when
+    freeness is undecided or a representative before the first exception
+    in canonical order runs out, whatever ``workers`` is.
     """
     searcher = CopySearch(family.sets, poset)
     if not _is_free(searcher, node_budget):
         return False
     _check_ground(family, max_ground)
-    return len(_sweep(family, poset, searcher, node_budget, workers)) == 0
+    classes = _twin_classes(set(family.sets), family.n)
+    with closing(_sweep(family, poset, searcher, classes, node_budget, workers, True)) as sweep:
+        return all(completes for _, _, completes in sweep)
 
 
 def greedy_saturate(
@@ -249,9 +275,7 @@ def greedy_saturate(
     still free; the result contains the input, sits inside input-plus-
     exceptions, and has an empty exception set of its own.
     """
-    exc = exceptions(
-        family, poset, node_budget=node_budget, max_ground=max_ground
-    )
+    exc = exceptions(family, poset, node_budget=node_budget, max_ground=max_ground)
     searcher = CopySearch(family.sets, poset)
     accepted = list(family.sets)
     for g in exc.sets:
@@ -289,11 +313,10 @@ def verification_report(
         return VerificationReport(poset_name, len(family), free, 0, empty, False)
     _check_ground(family, max_ground)
     try:
-        exc = _sweep(family, poset, searcher, node_budget, workers)
-    except BudgetExceededError as err:
-        partial = err.partial if isinstance(err.partial, Family) else empty
+        exc = _exceptions(family, poset, searcher, node_budget, workers)
+    except BudgetExceededError as err:  # _exceptions attaches the partial Family
         return VerificationReport(
-            poset_name, len(family), True, len(partial), partial, True
+            poset_name, len(family), True, len(err.partial), err.partial, True
         )
     return VerificationReport(poset_name, len(family), True, len(exc), exc, False)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_has_copy
+from oracles import all_families, brute_force_has_copy, brute_force_is_saturated
 from posetsat.constructs import (
     boolean_family,
     construct_2ck_c1,
@@ -13,11 +13,17 @@ from posetsat.constructs import (
     construct_mc2_binom,
     construct_mck,
 )
-from posetsat.embed import BudgetExceededError, CopySearch, find_induced_copy
+from posetsat.embed import (
+    DEFAULT_NODE_BUDGET,
+    BudgetExceededError,
+    CopySearch,
+    find_induced_copy,
+)
 from posetsat.posetspec import build_poset
 from posetsat.setfam import Family, canonicalize_family, mask_of
 from posetsat.verify import (
     _representatives,
+    _sweep_chunk,
     _twin_classes,
     exceptions,
     greedy_saturate,
@@ -171,6 +177,17 @@ class TestIsSaturated:
     def test_non_free_family_not_saturated(self):
         assert not is_saturated(fam(2, [1], [1, 2]), C2)
 
+    def test_every_family_at_n3_matches_oracle(self):
+        # 5 targets x 256 families; the oracle tries every bijection.
+        saturated = 0
+        for spec in ("C2", "2C1", "C2+C1", "C3", "B2"):
+            poset = build_poset(spec)
+            for masks in all_families(3):
+                want = brute_force_is_saturated(masks, 3, poset)
+                assert is_saturated(Family(3, masks), poset) == want, (spec, masks)
+                saturated += want
+        assert saturated == 57
+
 
 class TestGreedySaturate:
     def test_already_saturated_families_fixed(self):
@@ -305,12 +322,12 @@ SPECS = ["C2", "2C1", "3C1", "C3", "2C2", "C2+C1", "C3+C1", "B2", "B3"]
 
 
 @st.composite
-def families(draw, max_n=6):
-    """Random families over [n], n <= max_n.  Half of them are closed under
-    the symmetric groups of a random partition of [n] (each member brings
-    every subset meeting each block in as many elements), so that they have
-    twin classes of several elements."""
-    n = draw(st.integers(1, max_n))
+def families(draw, max_n=6, min_n=1):
+    """Random families over [n], min_n <= n <= max_n.  Half of them are
+    closed under the symmetric groups of a random partition of [n] (each
+    member brings every subset meeting each block in as many elements), so
+    that they have twin classes of several elements."""
+    n = draw(st.integers(min_n, max_n))
     seeds = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
     if draw(st.booleans()):
         block_of = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
@@ -430,6 +447,54 @@ class TestOneFreenessSearch:
             assert calls == [family.sets]
 
 
+class TestSaturationStopsAtFirstException:
+    @pytest.fixture
+    def mck_reps(self):
+        """mck(8,2,3) against 2C3, its representatives, and the rank of the
+        first one that is an exception, found by the unreduced sweep."""
+        family, poset = construct_mck(8, 2, 3), build_poset("2C3")
+        members = set(family.sets)
+        reps = _representatives(_twin_classes(members, family.n), members)
+        exc = set(reference_exceptions(family, poset).sets)
+        rank = next(i for i, g in enumerate(reps) if g in exc)
+        assert (rank, len(reps)) == (17, 166)
+        return family, poset, reps, exc, rank
+
+    def test_searches_representatives_up_to_first_exception(self, monkeypatch, mck_reps):
+        family, poset, reps, _exc, rank = mck_reps
+        calls = []
+        original = CopySearch.find_containing
+
+        def counting(self, g, *args, **kwargs):
+            calls.append(g)
+            return original(self, g, *args, **kwargs)
+
+        monkeypatch.setattr(CopySearch, "find_containing", counting)
+        assert not is_saturated(family, poset)
+        assert calls == reps[: rank + 1]
+
+    def test_pool_job_stops_at_first_exception(self, mck_reps):
+        family, poset, reps, exc, rank = mck_reps
+        stopped = [True] * rank + [False]
+        every = [g not in exc for g in reps]
+        for first, want in ((True, stopped), (False, every)):
+            job = (family.sets, poset, reps, DEFAULT_NODE_BUDGET, first)
+            assert _sweep_chunk(job) == (want, False)
+
+    @settings(deadline=None)
+    @given(families(max_n=7, min_n=7), st.sampled_from(SPECS))
+    def test_agrees_with_exception_sweep(self, family, spec):
+        # At n = 7 a family without twins has 64 or more representatives,
+        # enough for the pool.
+        poset = build_poset(spec)
+        if not is_induced_p_free(family, poset):
+            assert not is_saturated(family, poset, workers=2)
+            return
+        want = len(exceptions(family, poset)) == 0
+        for workers in (1, 2):
+            assert is_saturated(family, poset, workers=workers) == want
+
+
 class TestPoolOnTwinFreeFamily:
     # The full chain has only singleton twin classes, so all 120 absent
     # subsets are representatives: enough to go to the pool.
@@ -469,3 +534,34 @@ class TestPoolOnTwinFreeFamily:
         assert pool_starts == [2]
         assert isinstance(err.value.partial, Family)
         assert len(err.value.partial) > 0
+
+    @pytest.mark.parametrize("spec,want", [("C3+C1", False), ("2C1", True)])
+    def test_is_saturated_workers_do_not_change_verdict(self, pool_starts, spec, want):
+        family, poset = chain_family(7), build_poset(spec)
+        assert is_saturated(family, poset, workers=2) is want
+        assert pool_starts == [2]
+        assert is_saturated(family, poset) is want
+
+    @pytest.mark.parametrize(
+        "spec,want", [("2C1", True), ("3C1", False), ("2C2", "budget_exceeded")]
+    )
+    def test_is_saturated_budget_abort_matches_serial(
+        self, monkeypatch, pool_starts, spec, want
+    ):
+        # The first representative in canonical order that runs out of
+        # budget or fails to complete a copy decides, pooled or not.  For
+        # 2C2 the first chunk runs out and later ones hold exceptions
+        # searched within the budget.
+        import posetsat.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
+        family, poset = chain_family(7), build_poset(spec)
+
+        def outcome(workers):
+            try:
+                return is_saturated(family, poset, node_budget=5, workers=workers)
+            except BudgetExceededError:
+                return "budget_exceeded"
+
+        assert outcome(2) == outcome(1) == want
+        assert pool_starts == [2]
