@@ -98,6 +98,18 @@ class PosetSpec:
     def is_chain_union(self) -> bool:
         return all(isinstance(base, Chain) for _, base in self.terms)
 
+    def is_self_dual(self) -> bool:
+        """Whether the poset is isomorphic to its order dual.
+
+        Chains, ``B_k`` and ``B_k--`` are self-dual (complementation
+        reverses inclusion), and so is a union of self-dual terms.  ``B_k-``
+        with k >= 2 has a top but no bottom, and no other term is its dual.
+        """
+        return not any(
+            isinstance(base, BooleanBase) and base.drop == DROP_EMPTY and base.k >= 2
+            for _, base in self.terms
+        )
+
 
 def make_spec(terms: list[tuple[int, Chain | BooleanBase]]) -> PosetSpec:
     """Normalize arbitrary (count, base) terms into a PosetSpec."""

@@ -160,9 +160,9 @@ def _sweep(
 ) -> Iterator[tuple[int, int, bool]]:
     """Yield (representative, orbit size, completes a copy) for each absent
     representative of a family ``searcher`` found free, in canonical order.
-    A budget overrun raises BudgetExceededError after the representatives
-    before it: pooled, after every chunk, or with ``first`` (stop at the
-    first exception) at once, cancelling the chunks not yet started."""
+    A budget overrun raises BudgetExceededError right after the
+    representatives before it, pooled or not; a pool cancels the chunks not
+    yet started.  ``first`` lets each pool job stop at its first exception."""
     reps = _representatives(classes, set(family.sets))
     moving = [(cls, cls.bit_count()) for cls in classes if cls & (cls - 1)]
 
@@ -176,18 +176,14 @@ def _sweep(
     step = (len(reps) + workers * 4 - 1) // (workers * 4)
     chunks = [reps[i : i + step] for i in range(0, len(reps), step)]
     jobs = [(family.sets, poset, chunk, node_budget, first) for chunk in chunks]
-    aborted = False
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        for chunk, (verdicts, chunk_aborted) in zip(chunks, pool.map(_sweep_chunk, jobs)):
+        for chunk, (verdicts, aborted) in zip(chunks, pool.map(_sweep_chunk, jobs)):
             yield from ((g, size(g), completes) for g, completes in zip(chunk, verdicts))
-            aborted |= chunk_aborted
-            if aborted and first:
-                break
+            if aborted:
+                raise BudgetExceededError("exception sweep aborted by node budget")
     finally:
         pool.shutdown(cancel_futures=True)
-    if aborted:
-        raise BudgetExceededError("exception sweep aborted by node budget")
 
 
 def _exceptions(
@@ -224,10 +220,10 @@ def exceptions(
     ``max_ground`` explicitly to go past 16).  ``node_budget`` caps each
     representative's search (and the freeness check), not the sweep as a
     whole; a representative that runs out aborts the sweep with
-    BudgetExceededError carrying the orbits of the representatives cleared
-    so far.  With ``workers`` > 1 representatives are swept in parallel
-    processes; the result is canonicalized either way, so worker count
-    never changes the output.
+    BudgetExceededError carrying the orbits of the representatives before
+    it in canonical order.  With ``workers`` > 1 representatives are swept
+    in parallel processes; the result and the partial one are canonicalized
+    either way, so worker count never changes them.
     """
     _check_ground(family, max_ground)
     searcher = CopySearch(family.sets, poset)

@@ -85,3 +85,28 @@ def all_families(n: int):
     universe = sorted(range(1 << n), key=canonical_key)
     for selector in range(1 << len(universe)):
         yield tuple(universe[i] for i in range(len(universe)) if selector >> i & 1)
+
+
+def brute_force_is_self_dual(poset: ComparabilityMatrix) -> bool:
+    """Is there a bijection f with i <= j exactly when f(j) <= f(i)?"""
+    p = poset.size
+    return any(
+        all(poset.leq(i, j) == poset.leq(f[j], f[i]) for i in range(p) for j in range(p))
+        for f in permutations(range(p))
+    )
+
+
+def brute_force_least_image(masks, n: int, moved: int, self_dual: bool) -> tuple[int, ...]:
+    """The least image of a family, in canonical order, under relabeling the
+    lowest ``moved`` ground elements (and complementing, if ``self_dual``),
+    each image built bit by bit."""
+    full, low = (1 << n) - 1, (1 << moved) - 1
+    images = []
+    for perm in permutations(range(moved)):
+        for flip in (0, full) if self_dual else (0,):
+            image = [
+                (g & ~low | sum(1 << perm[i] for i in range(moved) if g >> i & 1)) ^ flip
+                for g in masks
+            ]
+            images.append(tuple(sorted(image, key=canonical_key)))
+    return min(images, key=lambda family: [canonical_key(g) for g in family])

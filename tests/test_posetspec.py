@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import brute_force_is_self_dual
 from posetsat.posetspec import (
     BooleanBase,
     Chain,
@@ -165,3 +166,28 @@ class TestBuildPoset:
 
     def test_mixed_spec_has_no_chain_structure(self):
         assert build_poset("B3+C2").chains is None
+
+
+class TestSelfDual:
+    @pytest.mark.parametrize(
+        "text,want",
+        [
+            ("C1", True),
+            ("C3", True),
+            ("2C2+C1", True),
+            ("B1-", True),
+            ("B2", True),
+            ("B2-", False),
+            ("B2--", True),
+            ("B3-", False),
+            ("B3--", True),
+            ("B2-+C1", False),
+        ],
+    )
+    def test_matches_bijection_oracle(self, text, want):
+        # False exactly for the targets with a B_k- term, k >= 2: it has a
+        # top but no bottom.
+        poset = build_poset(text)
+        assert poset.size <= 7
+        assert brute_force_is_self_dual(poset) is want
+        assert poset.spec.is_self_dual() is want

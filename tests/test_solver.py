@@ -1,12 +1,15 @@
+import random
+from collections import Counter
+
 import pytest
 
-from oracles import brute_force_sat_star
+from oracles import all_families, brute_force_least_image, brute_force_sat_star
 from posetsat.posetspec import build_poset
 from posetsat.setfam import Family, canonicalize_family, mask_of
-from posetsat.solver import sat_star_exact, solve_result_to_json
+from posetsat.solver import _GroundGroup, sat_star_exact, solve_result_to_json
 from posetsat.verify import exceptions, greedy_saturate, is_induced_p_free, is_saturated
 
-ORACLE_SPECS = ["C1", "C2", "2C1"]
+ORACLE_SPECS = ["C1", "C2", "2C1", "C3", "C2+C1", "3C1", "B2", "B2-", "2C2"]
 
 
 class TestAgainstFullEnumeration:
@@ -87,10 +90,85 @@ class TestBehaviour:
 
 
 def test_first_set_symmetry_filter_never_misses():
-    # The first chosen set is restricted to initial segments {1..c}; check
-    # against the unrestricted enumeration oracle on a poset where optimal
-    # witnesses exist with non-segment members.
+    # The orderly filter keeps a prefix only if it is the least of its orbit
+    # under relabeling and complementing, so for n <= 6 the first set is
+    # always an initial segment {1..c}; check against the unrestricted
+    # enumeration oracle on a poset where optimal witnesses exist with
+    # non-segment members.
     poset = build_poset("C2")
     for n in (2, 3):
         want_value, _ = brute_force_sat_star(n, poset)
         assert sat_star_exact(n, poset).value == want_value
+
+
+class TestOrderlyFilter:
+    @pytest.mark.parametrize("spec", ["2C2", "B2-"])
+    def test_one_family_per_orbit(self, spec):
+        # At n = 3 the filter's group is all of S_3, with complements for a
+        # self-dual target, so each orbit has exactly one least member.
+        self_dual = build_poset(spec).spec.is_self_dual()
+        assert self_dual is (spec == "2C2")
+        group = _GroundGroup(3, self_dual)
+        orbits = {brute_force_least_image(m, 3, 3, self_dual) for m in all_families(3)}
+        passed = Counter(len(m) for m in all_families(3) if group.is_least(m))
+        assert passed == Counter(len(o) for o in orbits)
+        # 80 classes of families on a 3-set (OEIS A000612), 46 with complements.
+        assert sum(passed.values()) == (46 if self_dual else 80)
+
+    @pytest.mark.parametrize("self_dual", [True, False])
+    def test_least_image_past_six_points(self, self_dual):
+        # At n = 8 only the lowest six elements move.  Each random family's
+        # least image must pass, and the family itself exactly when it is
+        # that image.
+        rng, group = random.Random(5), _GroundGroup(8, self_dual)
+        passed = 0
+        for _ in range(40):
+            family = canonicalize_family(rng.sample(range(256), rng.randint(1, 4)), 8).sets
+            least = brute_force_least_image(family, 8, 6, self_dual)
+            assert group.is_least(least)
+            assert group.is_least(family) is (family == least)
+            passed += family == least
+        assert passed < 40
+
+    @pytest.mark.parametrize(
+        "spec,want",
+        [
+            ("2C2", 8),
+            ("3C1", 8),
+            ("B2", 5),
+            ("2C1+C2", 7),
+            ("C3+C1", 7),
+            ("4C1", 11),
+            ("C4", 4),
+            ("B2-", 5),
+        ],
+    )
+    def test_four_point_values(self, spec, want):
+        # The values the solver gave before the orbit filter, when it only
+        # required the first set to be an initial segment.
+        got = sat_star_exact(4, build_poset(spec))
+        assert got.status == "exact"
+        assert got.value == want
+
+    def test_maximal_chain_at_six_points(self):
+        # A family saturated for two incomparable points is a maximal chain.
+        got = sat_star_exact(6, build_poset("2C1"))
+        assert got.status == "exact"
+        assert got.value == 7
+
+    def test_subgroup_past_six_points(self):
+        # At n = 12 the group permutes only the lowest six elements: a
+        # subgroup, which keeps its tables at 2 x 720 of 64 entries.
+        group = _GroundGroup(12, True)
+        assert len(group.columns) == 64
+        assert {len(column) for column in group.columns} == {2 * 720 - 1}
+        got = sat_star_exact(12, build_poset("C2"))
+        assert got.status == "exact"
+        assert got.value == 1
+
+
+@pytest.mark.slow
+def test_two_double_chains_at_five_points():
+    got = sat_star_exact(5, build_poset("2C2"))
+    assert got.status == "exact"
+    assert got.value == 10

@@ -524,16 +524,37 @@ class TestPoolOnTwinFreeFamily:
         assert pooled == exceptions(family, poset)
         assert len(pooled) == 16
 
-    def test_pooled_sweep_attaches_partial_results(self, monkeypatch, pool_starts):
+    @staticmethod
+    def pooled_and_serial_partials(monkeypatch, spec, budget):
         import posetsat.verify as verify_mod
 
         monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
-        family = chain_family(7)
-        with pytest.raises(BudgetExceededError) as err:
-            exceptions(family, build_poset("2C2"), node_budget=5, workers=2)
+        family, poset = chain_family(7), build_poset(spec)
+        partials = []
+        for workers in (2, 1):
+            with pytest.raises(BudgetExceededError) as err:
+                exceptions(family, poset, node_budget=budget, workers=workers)
+            assert isinstance(err.value.partial, Family)
+            partials.append(err.value.partial)
+        return partials
+
+    def test_pooled_sweep_attaches_partial_results(self, monkeypatch, pool_starts):
+        # The pool stops at its first overrun chunk, so the partial family
+        # holds the orbits before the overrun in canonical order: the serial
+        # one, whatever later chunks would have cleared (69 orbits here).
+        pooled, serial = self.pooled_and_serial_partials(monkeypatch, "2C2", 5)
         assert pool_starts == [2]
-        assert isinstance(err.value.partial, Family)
-        assert len(err.value.partial) > 0
+        assert pooled == serial
+        assert len(serial) == 0
+
+    @pytest.mark.parametrize("spec,budget,size", [("3C1", 5, 4), ("2C3", 12, 6)])
+    def test_pooled_partial_is_the_serial_one(
+        self, monkeypatch, pool_starts, spec, budget, size
+    ):
+        pooled, serial = self.pooled_and_serial_partials(monkeypatch, spec, budget)
+        assert pool_starts == [2]
+        assert pooled == serial
+        assert len(serial) == size
 
     @pytest.mark.parametrize("spec,want", [("C3+C1", False), ("2C1", True)])
     def test_is_saturated_workers_do_not_change_verdict(self, pool_starts, spec, want):
