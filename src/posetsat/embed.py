@@ -270,7 +270,6 @@ class _ChainEngine:
         "slots",
         "ml",
         "nodes",
-        "node_count",
         "all_nodes",
         "len_ok",
         "nb",
@@ -280,16 +279,13 @@ class _ChainEngine:
         "adj",
     )
 
-    # Above this many interval nodes the generic engine takes over.  At
-    # n <= 16 the only named construction past it is 2ck-c1(16,8) / 2C8+C1
-    # (102,449 nodes), whose freeness check runs both engines out of a
-    # 20M-node budget.
+    # Above this many interval nodes the generic engine takes over.  The
+    # adjacency rows hold one bit per pair of nodes: at 2ck-c1(14,7) / 2C7+C1
+    # (26,441 nodes) they take about 0.25 s to build and lift peak RSS from
+    # 29 MB to 117 MB; at the cap they take about 313 MB (50,000^2 bits).  At n <= 16 the only named construction
+    # past it is 2ck-c1(16,8) / 2C8+C1 (102,449 nodes), whose freeness check
+    # runs both engines out of a 20M-node budget.
     MAX_NODES = 50_000
-    # Adjacency rows are materialized only up to this node count: without
-    # them the chain-sweep benchmark took 0.66 s against 0.56 s.  Within
-    # the n <= 16 sweep cap only 2ck-c1(15..16,7) / 2C7+C1 (26,441 nodes)
-    # runs uncached.
-    ADJ_CACHE_NODES = 8_000
 
     def __init__(self, index: _FamilyIndex, poset: ComparabilityMatrix):
         self.index = index
@@ -299,12 +295,11 @@ class _ChainEngine:
         masks, up, down = index.masks, index.up, index.down
         nf = len(masks)
         need_pairs = self.slots[0] >= 2
-        # Longest-chain table: ml[t][b] for every member b strictly below t.
-        # A target made of single points never reads it.
-        ml = [_reach(masks, down[t], up, True) for t in range(nf)] if need_pairs else []
-        self.ml = ml
 
-        # Interval nodes, ordered by (bottom index, top index).
+        # Interval nodes, ordered by (bottom index, top index).  The tops of
+        # chains of at least j + 1 sets from b are the members above the tops
+        # of chains of at least j sets, so each bottom's tops take
+        # min_len - 2 steps up from its up row.
         min_len = min((length for length in self.slots if length >= 2), default=None)
         want_single = self.slots[-1] == 1
         nodes: list[tuple[int, int]] = []
@@ -312,15 +307,19 @@ class _ChainEngine:
             if want_single:
                 nodes.append((b, b))
             if need_pairs:
-                sup = up[b]
-                while sup:
-                    low = sup & -sup
-                    sup ^= low
-                    t = low.bit_length() - 1
-                    if ml[t][b] >= min_len:
-                        nodes.append((b, t))
+                tops = up[b]
+                for _ in range(min_len - 2):
+                    tops = self._gather(up, tops)
+                nodes.extend((b, t) for t in _bits(tops))
+        if len(nodes) > self.MAX_NODES:
+            raise ValueError(
+                f"{len(nodes)} interval nodes exceed the chain engine's cap of {self.MAX_NODES}"
+            )
+        # Longest-chain table: ml[t][b] for every member b strictly below t.
+        # A target made of single points never reads it.
+        ml = [_reach(masks, down[t], up, True) for t in range(nf)] if need_pairs else []
+        self.ml = ml
         self.nodes = nodes
-        self.node_count = len(nodes)
         self.all_nodes = (1 << len(nodes)) - 1
 
         self.len_ok = {}
@@ -345,11 +344,9 @@ class _ChainEngine:
         self.by_top = by_top
         self.nb = [self._gather(by_bottom, down[x] | 1 << x) for x in range(nf)]
         self.nt = [self._gather(by_top, up[x] | 1 << x) for x in range(nf)]
-        # Cached compatibility rows keep the inner search at one AND per node.
-        if self.node_count <= self.ADJ_CACHE_NODES:
-            self.adj = [self._compat(c) for c in range(self.node_count)]
-        else:
-            self.adj = None
+        # Compatibility rows keep the inner search at one AND per node: a
+        # node is compatible when neither chain's bottom fits in the other's top.
+        self.adj = [self.all_nodes & ~self.nb[t] & ~self.nt[b] for b, t in nodes]
 
     @staticmethod
     def _gather(rows: list[int], members: int) -> int:
@@ -361,17 +358,12 @@ class _ChainEngine:
             out |= rows[low.bit_length() - 1]
         return out
 
-    def _compat(self, c: int) -> int:
-        b, t = self.nodes[c]
-        return self.all_nodes & ~self.nb[t] & ~self.nt[b]
-
     def _solve(self, slots: list[int], cand: int, budget: list[int]):
         """Pick one compatible node per slot; returns chosen node ids or None."""
         total = len(slots)
         if total == 0:
             return []
         adj = self.adj
-        compat = self._compat
         chosen = [0] * total
         avail = [0] * total
         cand_stack = [0] * total
@@ -395,7 +387,7 @@ class _ChainEngine:
             if depth + 1 == total:
                 budget[0] = left
                 return chosen
-            nxt = cand_stack[depth] & (adj[v] if adj is not None else compat(v))
+            nxt = cand_stack[depth] & adj[v]
             a = nxt & self.len_ok[slots[depth + 1]]
             if slots[depth + 1] == slots[depth]:
                 a &= -1 << (v + 1)  # equal chains in ascending node order
@@ -572,10 +564,11 @@ def _walk(
 class CopySearch:
     """Reusable induced-copy searcher bound to one family and one target.
 
-    Picks the chain engine for pure chain-union targets (unless it would
-    generate an absurd number of interval nodes) and the generic
-    backtracker otherwise; ``engine`` forces the choice for cross-checks.
-    Both engines read one containment index of the family.
+    Picks the chain engine for pure chain-union targets with at most
+    ``_ChainEngine.MAX_NODES`` interval nodes and the generic backtracker
+    otherwise; ``engine`` forces the choice for cross-checks, and a forced
+    chain engine past that cap raises ValueError.  Both engines read one
+    containment index of the family.
     """
 
     def __init__(
@@ -588,22 +581,26 @@ class CopySearch:
             raise ValueError(f"unknown engine {engine!r}")
         if engine == "chains" and poset.chains is None:
             raise ValueError("chain engine needs a pure chain-union target")
-        self.masks = masks
         self.poset = poset
         self.engine_name = engine
         self._index = _FamilyIndex(masks)
         self._plan: _SearchPlan | None = None
-        self._grown: _FamilyIndex | None = None  # last generic find_containing's index
         self._pick_engine()
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        return self._index.masks
 
     def _pick_engine(self) -> None:
         """Chain engine over the index where it serves, else the generic plan."""
         self._chain: _ChainEngine | None = None
         if self.engine_name != "generic" and self.poset.chains is not None:
-            chain = _ChainEngine(self._index, self.poset)
-            if self.engine_name == "chains" or chain.node_count <= _ChainEngine.MAX_NODES:
-                self._chain = chain
+            try:
+                self._chain = _ChainEngine(self._index, self.poset)
                 return
+            except ValueError:  # past MAX_NODES, found before any row is built
+                if self.engine_name == "chains":
+                    raise
         self._plan = _SearchPlan(self.poset)
 
     def _to_embedding(self, by_len: dict[int, list[list[int]]]) -> Embedding:
@@ -637,7 +634,7 @@ class CopySearch:
             by_len = self._chain.find_containing(g, budget)
             return None if by_len is None else self._to_embedding(by_len)
         # Pin g to each poset position in turn; the first copy wins.
-        ext = self._grown = self._index.extended(g)
+        ext = self._index.extended(g)
         for pin_pos in range(self._plan.size):
             res = _run(ext, self._plan, budget, pin_pos, len(self.masks))
             if res is not None:
@@ -649,22 +646,16 @@ class CopySearch:
 
         Raises ValueError if g is already a member.
 
-        The index grows in O(|F|), or is taken over from the last
-        ``find_containing(g)``, and is all the generic engine needs; the
+        The index grows in O(|F|) and is all the generic engine needs; the
         chain engine is rebuilt over it.  Adding a member never removes an
-        interval node, so a fallback at ``MAX_NODES`` stays one.
+        interval node, so a fallback at ``MAX_NODES`` stays one, and a
+        forced chain engine that grows past it raises ValueError.
         """
-        grown = self._grown
         # A plain dict copy: copy.copy costs five times as much, and the
         # exact solver grows a searcher at every accepted prefix.
         out = object.__new__(CopySearch)
         out.__dict__.update(self.__dict__)
-        out.masks = self.masks + (g,)
-        if grown is not None and grown.masks[-1] == g:
-            out._index = grown
-        else:
-            out._index = self._index.extended(g)
-        out._grown = None
+        out._index = self._index.extended(g)
         if self._chain is not None:
             out._pick_engine()
         return out

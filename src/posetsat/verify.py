@@ -24,6 +24,7 @@ family whose classes are all singletons is swept subset by subset.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
@@ -86,7 +87,8 @@ def _check_ground(family: Family, max_ground: int) -> None:
     if family.n > max_ground:
         raise ValueError(
             f"exception sweep over 2^{family.n} subsets exceeds the cap of "
-            f"n <= {max_ground}; pass a larger max_ground to override"
+            f"n <= {max_ground}; pass a larger max_ground (--max-n on the "
+            "command line) to override"
         )
 
 
@@ -169,6 +171,8 @@ def _sweep(
     def size(g: int) -> int:
         return prod(comb(k, (g & cls).bit_count()) for cls, k in moving)
 
+    # A forked pool starts all its processes at the first submit.
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or len(reps) < POOL_THRESHOLD:
         for g in reps:
             yield g, size(g), searcher.find_containing(g, node_budget) is not None
@@ -222,8 +226,8 @@ def exceptions(
     whole; a representative that runs out aborts the sweep with
     BudgetExceededError carrying the orbits of the representatives before
     it in canonical order.  With ``workers`` > 1 representatives are swept
-    in parallel processes; the result and the partial one are canonicalized
-    either way, so worker count never changes them.
+    in parallel processes, at most one per CPU; the result and the partial
+    one are canonicalized either way, so worker count never changes them.
     """
     _check_ground(family, max_ground)
     searcher = CopySearch(family.sets, poset)

@@ -126,6 +126,13 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_ground_cap_error_names_the_flag(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 17, "sets": [[1]]}))
+        code, _, err = run(capsys, "verify", "--family", str(path), "--poset", "C2")
+        assert code == 2
+        assert "--max-n" in err and "max_ground" in err
+
     def test_duplicate_sets_strict_vs_lenient(self, capsys, tmp_path):
         path = tmp_path / "dup.json"
         path.write_text(json.dumps({"n": 2, "sets": [[1], [1]]}))

@@ -11,6 +11,7 @@ from posetsat.constructs import (
     construct_b3,
     construct_mc2_binom,
 )
+from posetsat import embed
 from posetsat.embed import (
     BudgetExceededError,
     CopySearch,
@@ -303,12 +304,32 @@ class TestChainEngineLimits:
         (construct_2ck_c1(6, 3).sets, 6, build_poset("2C3+C1")),
     ]
 
-    def test_uncached_adjacency_keeps_verdicts(self, monkeypatch):
-        expected = _verdicts(self.CASES)
-        monkeypatch.setattr(_ChainEngine, "ADJ_CACHE_NODES", 0)
+    def test_chain_engine_builds_rows_up_to_the_cap(self):
+        # The chain engine, with its adjacency rows, serves every family up
+        # to MAX_NODES; 2ck-c1(14,7) / 2C7+C1 has 26,441 interval nodes.
+        searcher = CopySearch(construct_2ck_c1(14, 7).sets, build_poset("2C7+C1"))
+        chain = searcher._chain
+        assert chain is not None
+        assert len(chain.nodes) == 26_441
+        assert len(chain.adj) == len(chain.nodes)
+
+    def test_cap_is_checked_before_any_row_is_built(self, monkeypatch):
         masks, _, poset = self.CASES[-1]
-        assert CopySearch(masks, poset)._chain.adj is None
-        assert _verdicts(self.CASES) == expected
+        nodes = len(CopySearch(masks, poset)._chain.nodes)
+        monkeypatch.setattr(_ChainEngine, "MAX_NODES", nodes - 1)
+        smaller = CopySearch(masks[:-1], poset, engine="chains")
+
+        def no_table(*args):
+            raise AssertionError("longest-chain table built past MAX_NODES")
+
+        # The table is the first thing built after the nodes are listed.
+        monkeypatch.setattr(embed, "_reach", no_table)
+        with pytest.raises(ValueError, match="interval nodes"):
+            CopySearch(masks, poset, engine="chains")
+        searcher = CopySearch(masks, poset)
+        assert searcher._chain is None and searcher._plan is not None
+        with pytest.raises(ValueError, match="interval nodes"):
+            smaller.with_member(masks[-1])
 
     def test_generic_fallback_keeps_verdicts(self, monkeypatch):
         expected = _verdicts(self.CASES)

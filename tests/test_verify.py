@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import pytest
@@ -511,6 +512,9 @@ class TestPoolOnTwinFreeFamily:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", RecordingPool)
+        # The pool starts at most one process per CPU: pin the count so that
+        # these tests start 2 on any machine.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         return starts
 
     def test_chain_is_twin_free(self):
@@ -523,6 +527,13 @@ class TestPoolOnTwinFreeFamily:
         assert pool_starts == [2]
         assert pooled == exceptions(family, poset)
         assert len(pooled) == 16
+
+    @pytest.mark.parametrize("cpus,starts", [(2, [2]), (1, []), (None, [])])
+    def test_pool_is_bounded_by_cpu_count(self, monkeypatch, pool_starts, cpus, starts):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        family, poset = chain_family(7), build_poset("C3+C1")
+        assert exceptions(family, poset, workers=3) == exceptions(family, poset)
+        assert pool_starts == starts
 
     @staticmethod
     def pooled_and_serial_partials(monkeypatch, spec, budget):
