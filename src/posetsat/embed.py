@@ -5,11 +5,14 @@ b of poset elements to members of F with p <= q in P if and only if
 b(p) is a subset of b(q); incomparable elements must map to incomparable
 sets.  Two engines implement the search behind one interface:
 
-* The generic engine backtracks over poset elements in a linear extension
-  (longest chains first), keeping candidate images as bitsets over family
-  indices so that the exact-match pruning — a candidate survives only if
-  its containment relations to every previously placed image equal the
-  target relation — is a handful of integer ANDs per node.  It handles any
+* The generic engine is a forward-checking backtracker over one candidate
+  domain per poset element, kept as a bitset over family indices.  A
+  domain starts as the members with at least as many members above, below
+  and apart as the element has in the target (a copy is injective).
+  Placing an image ANDs the index row of its relation into the domain of
+  every unplaced element, so a domain holds exactly the images that match
+  everything placed, and an image that empties one is rejected at once.
+  The element with the smallest domain is placed next.  It handles any
   target, including the Boolean-lattice ones.
 
 * The chain engine serves pure chain-union targets.  Two chains are fully
@@ -150,9 +153,15 @@ class _FamilyIndex:
 
 
 class _SearchPlan:
-    """Per-target data: the relation of every ordered pair of elements."""
+    """Per-target data: pair relations and each element's degree profile.
 
-    __slots__ = ("size", "rel")
+    ``rel[i][j]`` is the relation of element i to element j.  ``profiles``
+    maps (above, below, apart) -- how many elements lie strictly above i,
+    strictly below it and apart from it -- to the bitset of positions that
+    have it.
+    """
+
+    __slots__ = ("size", "rel", "profiles")
 
     def __init__(self, poset: ComparabilityMatrix):
         p = poset.size
@@ -166,91 +175,95 @@ class _SearchPlan:
                     rel[i][j] = _LT
                 elif rows[j] >> i & 1:
                     rel[i][j] = _GT
+        profiles: dict[tuple[int, int, int], int] = {}
+        for i, row in enumerate(rel):
+            key = (row.count(_LT), row.count(_GT), row.count(_INC) - 1)  # not i itself
+            profiles[key] = profiles.get(key, 0) | 1 << i
         self.size = p
         self.rel = rel
+        self.profiles = profiles
+
+    def domains(self, index: _FamilyIndex) -> list[int]:
+        """Starting domain of every position: the members with enough room.
+
+        An induced copy is injective, so the image of a position with a
+        elements above it has at least a members above it in the family,
+        and likewise below and apart.
+        """
+        degrees = [
+            (u.bit_count(), d.bit_count(), i.bit_count())
+            for u, d, i in zip(index.up, index.down, index.inc)
+        ]
+        out = [0] * self.size
+        for (above, below, apart), positions in self.profiles.items():
+            dom = 0
+            for j, (u, d, i) in enumerate(degrees):
+                if u >= above and d >= below and i >= apart:
+                    dom |= 1 << j
+            for pos in _bits(positions):
+                out[pos] = dom
+        return out
 
 
 def _run(
     index: _FamilyIndex,
     plan: _SearchPlan,
     budget: list[int],
-    pin_pos: int | None = None,
-    pin_idx: int | None = None,
+    domains: list[int],
 ) -> list[int] | None:
-    """One backtracking pass; returns position -> family index, or None.
+    """Forward-checking backtrack; returns position -> family index, or None.
 
-    ``budget`` is a one-element list decremented per candidate attempt,
+    ``domains[pos]`` is the bitset of family indices position pos may take;
+    a pinned position gets a one-member domain.  The unplaced position with
+    the smallest domain goes next, so an empty domain ends the search before
+    any candidate is tried.  Placing an image ANDs the index row of its
+    relation into the domain of every unplaced position: the domains stay
+    exact for everything placed, and an image that empties one is rejected
+    at once.  No row holds its own member, so images stay distinct.
+    ``budget`` is a one-element list decremented per candidate tried,
     shared across passes.
     """
-    p = plan.size
-    nf = len(index.masks)
-    if nf < p:
-        return None
     rel = plan.rel
-    rows = (index.up, index.down, index.inc)  # indexed by _LT, _GT, _INC
-    all_bits = index.all_bits
-
-    assigned = [-1] * p
-    used = 0
-    order = []
-    for pos in range(p):
-        if pos == pin_pos:
-            assigned[pos] = pin_idx
-            used = 1 << pin_idx
-        else:
-            order.append(pos)
-    if not order:
-        return assigned
-
-    # Constraint sources per depth: pinned position first, then the prefix,
-    # each with the index rows that hold the images it allows.
-    sources: list[list[tuple[int, list[int]]]] = []
-    for d, pos in enumerate(order):
-        srcs = []
-        if pin_pos is not None:
-            srcs.append((pin_pos, rows[rel[pin_pos][pos]]))
-        srcs.extend((q, rows[rel[q][pos]]) for q in order[:d])
-        sources.append(srcs)
-
-    def candidates(d: int) -> int:
-        cand = all_bits & ~used
-        for q, row in sources[d]:
-            cand &= row[assigned[q]]
-            if not cand:
-                return 0
-        return cand
-
-    m = len(order)
-    stack = [0] * m
-    stack[0] = candidates(0)
-    depth = 0
+    up, down, inc = index.up, index.down, index.inc
+    assigned = [-1] * plan.size
     left = budget[0]
-    while depth >= 0:
-        pos = order[depth]
-        prev = assigned[pos]
-        if prev >= 0:
-            used &= ~(1 << prev)
-            assigned[pos] = -1
-        cand = stack[depth]
-        if not cand:
-            depth -= 1
-            continue
-        left -= 1
-        if left < 0:
-            budget[0] = 0
-            raise BudgetExceededError()
-        low = cand & -cand
-        stack[depth] = cand ^ low
-        idx = low.bit_length() - 1
-        assigned[pos] = idx
-        used |= 1 << idx
-        if depth + 1 == m:
-            budget[0] = left
-            return assigned
-        depth += 1
-        stack[depth] = candidates(depth)
+
+    def extend(doms: list[int], pos: int, free: list[int]) -> bool:
+        nonlocal left
+        rel_pos = rel[pos]
+        cand = doms[pos]
+        while cand:
+            left -= 1
+            if left < 0:
+                budget[0] = 0
+                raise BudgetExceededError()
+            low = cand & -cand
+            cand ^= low
+            idx = low.bit_length() - 1
+            if not free:
+                assigned[pos] = idx
+                return True
+            rows = (up[idx], down[idx], inc[idx])  # indexed by _LT, _GT, _INC
+            nxt = doms[:]
+            best = -1
+            for q in free:
+                dom = doms[q] & rows[rel_pos[q]]
+                if not dom:
+                    break
+                nxt[q] = dom
+                size = dom.bit_count()
+                if best < 0 or size < best_size:
+                    best, best_size = q, size
+            else:
+                assigned[pos] = idx
+                if extend(nxt, best, [q for q in free if q != best]):
+                    return True
+        return False
+
+    first = min(range(plan.size), key=lambda q: domains[q].bit_count())
+    found = extend(domains, first, [q for q in range(plan.size) if q != first])
     budget[0] = left
-    return None
+    return assigned if found else None
 
 
 class _ChainEngine:
@@ -617,7 +630,7 @@ class CopySearch:
         if self._chain is not None:
             by_len = self._chain.find(budget)
             return None if by_len is None else self._to_embedding(by_len)
-        res = _run(self._index, self._plan, budget)
+        res = _run(self._index, self._plan, budget, self._plan.domains(self._index))
         if res is None:
             return None
         return Embedding(self.poset, tuple(self.masks[i] for i in res))
@@ -633,10 +646,18 @@ class CopySearch:
         if self._chain is not None:
             by_len = self._chain.find_containing(g, budget)
             return None if by_len is None else self._to_embedding(by_len)
-        # Pin g to each poset position in turn; the first copy wins.
+        # Pin g to each poset position in turn; the first copy wins.  The
+        # domains are computed once, and a position whose domain lacks g is
+        # skipped without trying a candidate.
         ext = self._index.extended(g)
-        for pin_pos in range(self._plan.size):
-            res = _run(ext, self._plan, budget, pin_pos, len(self.masks))
+        g_bit = 1 << len(self.masks)
+        start = self._plan.domains(ext)
+        for pin_pos, dom in enumerate(start):
+            if not dom & g_bit:
+                continue
+            pinned = start[:]
+            pinned[pin_pos] = g_bit
+            res = _run(ext, self._plan, budget, pinned)
             if res is not None:
                 return Embedding(self.poset, tuple(ext.masks[i] for i in res))
         return None

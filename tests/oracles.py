@@ -14,11 +14,19 @@ from posetsat.posetspec import ComparabilityMatrix
 from posetsat.setfam import Family, canonical_key
 
 
-def brute_force_has_copy(masks, poset: ComparabilityMatrix) -> bool:
-    """Does any |P|-subset of the masks admit an order-matching bijection?"""
+def brute_force_has_copy(masks, poset: ComparabilityMatrix, require: int | None = None) -> bool:
+    """Does any |P|-subset of the masks admit an order-matching bijection?
+
+    With ``require`` set to one of the masks, only subsets holding it count.
+    """
     p = poset.size
     if len(masks) < p:
         return False
+    if require is None:
+        subsets = combinations(masks, p)
+    else:
+        others = [m for m in masks if m != require]
+        subsets = (rest + (require,) for rest in combinations(others, p - 1))
     strict = [
         (i, j)
         for i in range(p)
@@ -26,7 +34,7 @@ def brute_force_has_copy(masks, poset: ComparabilityMatrix) -> bool:
         if i != j and poset.leq(i, j)
     ]
     target_pairs = len(strict)
-    for subset in combinations(masks, p):
+    for subset in subsets:
         # No bijection can match unless the comparable-pair counts agree.
         comparable = 0
         for a, b in combinations(subset, 2):

@@ -95,25 +95,29 @@ class TestExceptions:
     def test_partial_results_attached_on_budget_abort(self, monkeypatch):
         # Freeness costs more nodes than any single inner search here, so
         # skip the guard to reach the sweep with a budget the inner
-        # searches cannot meet.
+        # searches cannot meet.  The family is saturated, so every
+        # representative completes a copy, and an 8-element B3 copy with
+        # one pinned element needs at least 7 candidate attempts: a budget
+        # of 5 overruns in any engine.
         import posetsat.verify as verify_mod
 
         monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
         family = construct_b3(5)
         with pytest.raises(BudgetExceededError) as err:
-            exceptions(family, build_poset("B3"), node_budget=40)
+            exceptions(family, build_poset("B3"), node_budget=5)
         assert isinstance(err.value.partial, Family)
 
     def test_pooled_sweep_attaches_partial_results(self, monkeypatch):
-        # As above with two workers.  b3(7) has only 13 representatives, too
-        # few for the pool, so this runs serially; the chain-family tests
-        # below cover a pooled abort.
+        # As above with two workers, and the same budget for the same
+        # reason.  b3(7) has only 13 representatives, too few for the pool,
+        # so this runs serially; the chain-family tests below cover a
+        # pooled abort.
         import posetsat.verify as verify_mod
 
         monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
         family = construct_b3(7)
         with pytest.raises(BudgetExceededError) as err:
-            exceptions(family, build_poset("B3"), node_budget=40, workers=2)
+            exceptions(family, build_poset("B3"), node_budget=5, workers=2)
         assert isinstance(err.value.partial, Family)
 
     def test_workers_do_not_change_output(self):
@@ -274,7 +278,9 @@ class TestReport:
         import posetsat.verify as verify_mod
 
         monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
-        report = verification_report(construct_b3(5), "B3", node_budget=40)
+        # b3(5) is saturated and a pinned B3 copy needs at least 7 candidate
+        # attempts, so a budget of 5 overruns in the sweep in any engine.
+        report = verification_report(construct_b3(5), "B3", node_budget=5)
         assert report.is_free is True
         assert report.budget_exceeded
 
