@@ -19,8 +19,16 @@ sets.  Two engines implement the search behind one interface:
   cross-incomparable exactly when each bottom escapes the other's top, so
   a chain is summarized by its (bottom, top) pair; the engine enumerates
   realizable interval nodes via a longest-chain table and picks one node
-  per target chain, shrinking a compatibility bitset as it goes.  This is
-  what makes exhaustive negative verdicts (freeness proofs, exception
+  per target chain, shrinking a compatibility bitset as it goes.  Two
+  prunings, each sound by a dominance argument, keep it small.  Before
+  each step down it colours the pool of candidates for the remaining
+  chains greedily into classes of pairwise incompatible nodes; the
+  remaining picks are pairwise compatible, one per class at most, so
+  fewer classes than remaining chains cut the subtree.  A search pinned
+  at a new member g tries, for g's own chain, only the endpoint classes
+  whose longest chain through g has exactly the chain's length: any
+  longer class can step an end towards g and only widen its pool.  This
+  is what makes exhaustive negative verdicts (freeness proofs, exception
   sweeps) fast on families full of long chains.
 
 Both engines read one containment index of the family (up, down and
@@ -275,7 +283,11 @@ class _ChainEngine:
     host which lengths.  Cross-incomparability of two chains reduces to
     their extremes: bottom of each must escape the top of the other, so
     compatibility of a node against everything chosen is two bitset ANDs.
-    Chains of equal length take their nodes in ascending order.
+    Chains of equal length take their nodes in ascending order.  Neither
+    pruning changes a verdict: the colouring bound (``_solve``) cuts only
+    subtrees that hold no copy, so ``find`` returns what it would without
+    it, and a pinned search tries only exact-reach endpoint classes
+    (``_g_classes``), which dominate every other class.
     """
 
     __slots__ = (
@@ -290,6 +302,7 @@ class _ChainEngine:
         "by_bottom",
         "by_top",
         "adj",
+        "plans",
     )
 
     # Above this many interval nodes the generic engine takes over.  The
@@ -360,6 +373,7 @@ class _ChainEngine:
         # Compatibility rows keep the inner search at one AND per node: a
         # node is compatible when neither chain's bottom fits in the other's top.
         self.adj = [self.all_nodes & ~self.nb[t] & ~self.nt[b] for b, t in nodes]
+        self.plans = {}
 
     @staticmethod
     def _gather(rows: list[int], members: int) -> int:
@@ -371,17 +385,61 @@ class _ChainEngine:
             out |= rows[low.bit_length() - 1]
         return out
 
+    def _slot_plan(self, slots: list[int]):
+        """Per-depth masks for ``_solve`` over one slots list, built once.
+
+        ``ok[d]`` holds the nodes that can host slot d; ``ascending[d]``
+        says slot d has the length of slot d - 1; ``pool_ok[d]`` is None
+        when every slot from d on has slot d's length, else the nodes that
+        can host the shortest slot (see ``_solve``).
+        """
+        key = tuple(slots)
+        plan = self.plans.get(key)
+        if plan is None:
+            len_ok = self.len_ok
+            shortest = slots[-1]
+            plan = (
+                [len_ok[length] for length in slots],
+                [d > 0 and slots[d] == slots[d - 1] for d in range(len(slots))],
+                [None if length == shortest else len_ok[shortest] for length in slots],
+            )
+            self.plans[key] = plan
+        return plan
+
     def _solve(self, slots: list[int], cand: int, budget: list[int]):
-        """Pick one compatible node per slot; returns chosen node ids or None."""
+        """Pick one compatible node per slot; returns chosen node ids or None.
+
+        Colouring bound: the picks still to make are pairwise compatible
+        nodes of a pool, so before the search steps a depth down it splits
+        the pool greedily into classes of pairwise incompatible nodes, one
+        AND per node.  Pairwise compatible nodes take one class each at
+        most, so fewer classes than remaining slots prune the subtree; the
+        colouring stops once the count reaches the slots.  Only subtrees
+        that hold no copy are cut, so the first copy found is unchanged.
+
+        When every remaining slot has the next slot's length, the pool is
+        the next depth's candidates, as equal chains ascend from there.
+        Otherwise it is every node compatible with ``cand`` and the picks so
+        far that can host the shortest remaining length, which is sound:
+
+        * for lengths of at least 2, ``len_ok[L]`` lies inside
+          ``len_ok[L']`` when L' <= L, so every remaining pick is in the pool;
+        * for a C1 slot the pool holds singletons (b, b) only, and the map
+          (b, t) -> (b, b) sends the remaining picks injectively into it and
+          keeps them compatible, with each other and with everything the
+          search must escape: b lies inside t, so b escapes whatever t
+          escapes, and two compatible nodes never share a bottom.
+        """
         total = len(slots)
         if total == 0:
             return []
+        ok, ascending, pool_ok = self._slot_plan(slots)
         adj = self.adj
         chosen = [0] * total
         avail = [0] * total
         cand_stack = [0] * total
         cand_stack[0] = cand
-        avail[0] = cand & self.len_ok[slots[0]]
+        avail[0] = cand & ok[0]
         depth = 0
         left = budget[0]
         while depth >= 0:
@@ -397,14 +455,31 @@ class _ChainEngine:
             avail[depth] = a ^ low
             v = low.bit_length() - 1
             chosen[depth] = v
-            if depth + 1 == total:
+            step = depth + 1
+            if step == total:
                 budget[0] = left
                 return chosen
             nxt = cand_stack[depth] & adj[v]
-            a = nxt & self.len_ok[slots[depth + 1]]
-            if slots[depth + 1] == slots[depth]:
+            a = nxt & ok[step]
+            if ascending[step]:
                 a &= -1 << (v + 1)  # equal chains in ascending node order
-            depth += 1
+            if not a:
+                continue
+            need = total - step  # slots left; the colouring counts its classes off
+            if need > 1:
+                pool = a if pool_ok[step] is None else nxt & pool_ok[step]
+                while pool:
+                    need -= 1
+                    if not need:
+                        break
+                    q = pool  # grow one class: keep what clashes with all of it
+                    while q:
+                        low = q & -q
+                        pool ^= low
+                        q ^= low | (q & adj[low.bit_length() - 1])
+                if need:
+                    continue
+            depth = step
             cand_stack[depth] = nxt
             avail[depth] = a
         budget[0] = left
@@ -466,45 +541,49 @@ class _ChainEngine:
                 chosen = self._solve(rest_slots, cand, budget)
                 if chosen is None:
                     continue
-                g_path = self._g_path(g, b, t, length, down_set, up_set, down_len, up_len)
+                g_path = self._g_path(g, b, t, down_set, up_set, down_len, up_len)
                 return self._assemble(chosen, rest_slots, extra=(g_path, length))
         return None
 
     def _g_classes(self, length, down_set, up_set, down_len, up_len):
-        """(bottom, top) endpoint classes for g's own chain; None means g."""
+        """(bottom, top) endpoint classes for g's own chain; None means g.
+
+        A class reaches ``down_len[b] + up_len[t] - 1`` sets, its longest
+        chain through g, where g as an end reaches 1; only the classes that
+        reach exactly ``length`` are yielded.  That is enough: a class pool
+        is ``~nb[t] & ~nt[b]``, so a lower top or a higher bottom only
+        widens it, and a class that reaches further can move its top (or
+        bottom) one set towards g along its longest chain, reaching one set
+        less with a pool at least as wide.  So an exact-reach class holds a
+        copy whenever a longer one does, and a shorter one holds no chain of
+        ``length`` sets.  Classes come in (bottom, top) index order.
+        """
         if length == 1:
             yield (None, None)
             return
-        bottoms = [None] + list(_bits(down_set))
-        tops = [None] + list(_bits(up_set))
-        for b in bottoms:
-            d_lo, d_hi = (1, 1) if b is None else (2, down_len[b])
-            for t in tops:
-                if b is None and t is None:
-                    continue
-                u_lo, u_hi = (1, 1) if t is None else (2, up_len[t])
-                if d_lo + u_lo - 1 <= length <= d_hi + u_hi - 1:
-                    yield (b, t)
+        tops_by_reach: dict[int, list] = {1: [None]}
+        for t in _bits(up_set):
+            tops_by_reach.setdefault(up_len[t], []).append(t)
+        for b in [None, *_bits(down_set)]:
+            d = 1 if b is None else down_len[b]
+            for t in tops_by_reach.get(length + 1 - d, ()):
+                yield (b, t)
 
-    def _g_path(self, g, b, t, length, down_set, up_set, down_len, up_len):
-        """Realize g's chain of exactly ``length`` from class (b, t)."""
-        d_lo = 1 if b is None else 2
-        d_hi = 1 if b is None else down_len[b]
-        u_lo = 1 if t is None else 2
-        u_hi = 1 if t is None else up_len[t]
-        d = min(d_hi, length + 1 - u_lo)
-        if d < max(d_lo, length + 1 - u_hi):
-            raise AssertionError(f"no split of a {length}-chain through g in class {(b, t)}")
-        u = length + 1 - d
+    def _g_path(self, g, b, t, down_set, up_set, down_len, up_len):
+        """Realize g's chain from the exact-reach class (b, t).
+
+        It runs from b up to g through ``down_len[b]`` sets and on to t
+        through ``up_len[t]``, g counted in both.
+        """
         index = self.index
         if b is None:
             down_part = [g]
         else:
-            down_part = _walk(index.masks, b, d - 2, down_len, index.up, down_set) + [g]
+            down_part = _walk(index.masks, b, down_len[b] - 2, down_len, index.up, down_set) + [g]
         if t is None:
             up_part = []
         else:
-            up_part = _walk(index.masks, t, u - 2, up_len, index.down, up_set)[::-1]
+            up_part = _walk(index.masks, t, up_len[t] - 2, up_len, index.down, up_set)[::-1]
         return down_part + up_part
 
 

@@ -118,3 +118,26 @@ def brute_force_least_image(masks, n: int, moved: int, self_dual: bool) -> tuple
             ]
             images.append(tuple(sorted(image, key=canonical_key)))
     return min(images, key=lambda family: [canonical_key(g) for g in family])
+
+
+def brute_force_chains_through(masks, g: int):
+    """Every chain of masks + {g} that holds g, bottom first, found by
+    following proper inclusions from g down and up."""
+    others = [m for m in masks if m != g]
+
+    def down(x):
+        yield (x,)
+        for m in others:
+            if m != x and m & x == m:
+                for chain in down(m):
+                    yield chain + (x,)
+
+    def up(x):
+        yield (x,)
+        for m in others:
+            if m != x and m & x == x:
+                for chain in up(m):
+                    yield (x,) + chain
+
+    uppers = list(up(g))
+    return [lower + upper[1:] for lower in down(g) for upper in uppers]

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_families, brute_force_has_copy
+from oracles import all_families, brute_force_chains_through, brute_force_has_copy
 from posetsat.constructs import (
     boolean_family,
     construct_2ck_c1,
     construct_b3,
     construct_mc2_binom,
+    construct_mck,
 )
 from posetsat import embed
 from posetsat.embed import (
@@ -27,6 +28,9 @@ from posetsat.setfam import Family, canonical_key, canonicalize_family, mask_of
 
 C2 = build_poset("C2")
 ORACLE_SPECS = ["C2", "C3", "2C2", "C2+C1"]
+# Three or more chains, or a 3-chain: where the chain engine's colouring
+# bound and its exact-reach endpoint classes act.
+CHAIN_PRUNING_SPECS = ["3C1", "2C2+C1", "C3+2C1", "2C3"]
 # Targets with a Boolean-lattice term: only the generic engine serves them.
 LATTICE_SPECS = ["B2", "B2-", "B2--", "B3--", "B2+C1"]
 
@@ -128,7 +132,7 @@ class TestAgainstBruteForce:
             assert got == brute_force_has_copy(masks, poset), masks
 
     @staticmethod
-    def _check_lattice_target(masks, n, poset, pins):
+    def _check_target(masks, n, poset, pins):
         searcher = CopySearch(masks, poset)
         emb = searcher.find()
         assert (emb is not None) == brute_force_has_copy(masks, poset), masks
@@ -140,15 +144,15 @@ class TestAgainstBruteForce:
                 assert g in emb.assignment
                 assert verify_embedding(canonicalize_family(grown, n), poset, emb)
 
-    @pytest.mark.parametrize("spec", LATTICE_SPECS)
-    def test_lattice_targets_exhaustive_ground_three(self, spec):
+    def _check_every_family_ground_three(self, spec):
+        """find and find_containing at every absent subset, every family."""
         poset = build_poset(spec)
         for masks in all_families(3):
             pins = [g for g in range(8) if g not in masks]
-            self._check_lattice_target(masks, 3, poset, pins)
+            self._check_target(masks, 3, poset, pins)
 
-    @pytest.mark.parametrize("spec", LATTICE_SPECS)
-    def test_lattice_targets_sampled_ground_four(self, spec):
+    def _check_sampled_ground_four(self, spec):
+        """find and find_containing at every third absent subset, 100 families."""
         poset = build_poset(spec)
         rng = random.Random(spec)
         universe = sorted(range(16), key=canonical_key)
@@ -156,7 +160,23 @@ class TestAgainstBruteForce:
             sel = rng.getrandbits(16)
             masks = tuple(universe[i] for i in range(16) if sel >> i & 1)
             pins = [g for g in range(16) if g not in masks][::3]
-            self._check_lattice_target(masks, 4, poset, pins)
+            self._check_target(masks, 4, poset, pins)
+
+    @pytest.mark.parametrize("spec", LATTICE_SPECS)
+    def test_lattice_targets_exhaustive_ground_three(self, spec):
+        self._check_every_family_ground_three(spec)
+
+    @pytest.mark.parametrize("spec", LATTICE_SPECS)
+    def test_lattice_targets_sampled_ground_four(self, spec):
+        self._check_sampled_ground_four(spec)
+
+    @pytest.mark.parametrize("spec", CHAIN_PRUNING_SPECS)
+    def test_chain_targets_exhaustive_ground_three(self, spec):
+        self._check_every_family_ground_three(spec)
+
+    @pytest.mark.parametrize("spec", CHAIN_PRUNING_SPECS)
+    def test_chain_targets_sampled_ground_four(self, spec):
+        self._check_sampled_ground_four(spec)
 
     def test_engines_agree_on_boolean_and_chain_targets(self):
         chain_posets = [build_poset(s) for s in ("2C2", "C3+C1", "3C1")]
@@ -252,6 +272,75 @@ class TestGenericPruning:
         assert searcher.find_containing(mask_of([4], 4), node_budget=0) is None
 
 
+class TestChainPruning:
+    """The chain engine's colouring bound and exact-reach endpoint classes.
+
+    Without the bound, proving mc2-binom(11,2) free of 7C2 takes 218,798
+    nodes and mck(12,3,3) free of 3C3 takes 21,751; with it, 11,715 and 499.
+    """
+
+    @pytest.mark.parametrize("family,spec,budget", [
+        (construct_mc2_binom(11, 2), "7C2", 50_000),
+        (construct_mck(12, 3, 3), "3C3", 2_000),
+    ])
+    def test_freeness_within_budget(self, family, spec, budget):
+        searcher = CopySearch(family.sets, build_poset(spec))
+        assert searcher._chain is not None
+        assert searcher.find(node_budget=budget) is None
+
+    @staticmethod
+    def _pool(engine, bottom, top):
+        """Nodes apart from a chain with these end masks: each node's bottom
+        escapes ``top`` and ``bottom`` escapes its top."""
+        masks = engine.index.masks
+        return {
+            c for c, (b, t) in enumerate(engine.nodes)
+            if masks[b] & ~top and bottom & ~masks[t]
+        }
+
+    def test_exact_reach_classes_dominate_every_chain_through_g(self, monkeypatch):
+        # For each absent g and each length, the engine tries exactly the
+        # end pairs whose longest chain through g has that length, and every
+        # chain of that length through g has a pool inside one of theirs.
+        poset = build_poset("C4+C3+C2")
+        lengths = (4, 3, 2)
+        seen = []
+        original = _ChainEngine._g_classes
+
+        def recording(self, length, *args):
+            seen.append(args)
+            return original(self, length, *args)
+
+        monkeypatch.setattr(_ChainEngine, "_g_classes", recording)
+        checked = 0
+        for masks in random_families(12, seed=7):
+            engine = CopySearch(masks, poset, engine="chains")._chain
+            for g in range(32):
+                if g in masks:
+                    continue
+                seen.clear()
+                engine.find_containing(g, [embed.DEFAULT_NODE_BUDGET])
+                down_set, up_set, down_len, up_len = seen[0]
+                chains = brute_force_chains_through(masks, g)
+                reach: dict[tuple[int, int], int] = {}
+                for chain in chains:
+                    ends = (chain[0], chain[-1])
+                    reach[ends] = max(reach.get(ends, 0), len(chain))
+                for length in lengths:
+                    tried = [
+                        (g if b is None else masks[b], g if t is None else masks[t])
+                        for b, t in original(engine, length, down_set, up_set, down_len, up_len)
+                    ]
+                    assert sorted(tried) == sorted(e for e, r in reach.items() if r == length)
+                    pools = [self._pool(engine, *ends) for ends in tried]
+                    for chain in chains:
+                        if len(chain) == length:
+                            pool = self._pool(engine, chain[0], chain[-1])
+                            assert any(pool <= p for p in pools), (masks, g, chain)
+                            checked += 1
+        assert checked > 1_000
+
+
 class TestIncrementalSearch:
     CHAIN_SPECS = ("2C2", "C3+C1", "3C1")
 
@@ -311,13 +400,16 @@ class TestIncrementalSearch:
 def chain_search_cases(draw):
     """A family over [n], n <= 6, and a chain-union target.
 
-    Lengths are drawn from 1..3, so targets often repeat a length (3C1,
+    Lengths are drawn from 1..4, so targets often repeat a length (3C1,
     2C2+C1): the chain engine orders equal chains, the generic one does not.
+    Three or more chains engage its colouring bound, and mixed C1 slots
+    the singleton pool; chains of 3 or 4 sets have endpoint classes of
+    several reaches in a pinned search.
     """
     n = draw(st.integers(2, 6))
     masks = tuple(sorted(set(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))),
                          key=canonical_key))
-    lengths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     poset = build_poset("+".join(f"C{length}" for length in lengths))
     return Family(n, masks), poset
 

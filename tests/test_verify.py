@@ -555,16 +555,25 @@ class TestPoolOnTwinFreeFamily:
             partials.append(err.value.partial)
         return partials
 
+    # The chain engine charges one node per endpoint class it tries for the
+    # chain through the pinned subset, and two classes of exact reach fit a
+    # 5-chain through {2}: ({}, [4]) and ({2}, [5]).  So at budget 1 the
+    # first representative runs out, while 54 orbits of later chunks are
+    # searched within it; for 2C3 at budget 2, {2} to {6} come first with
+    # two classes each, and {7} with one, before {1, 3} needs three.  The
+    # chain engine finishes the 2C2 sweep within budget 2 and the 2C3 one
+    # within budget 3.
+
     def test_pooled_sweep_attaches_partial_results(self, monkeypatch, pool_starts):
         # The pool stops at its first overrun chunk, so the partial family
         # holds the orbits before the overrun in canonical order: the serial
-        # one, whatever later chunks would have cleared (69 orbits here).
-        pooled, serial = self.pooled_and_serial_partials(monkeypatch, "2C2", 5)
+        # one, whatever later chunks would have cleared (54 orbits here).
+        pooled, serial = self.pooled_and_serial_partials(monkeypatch, "2C5", 1)
         assert pool_starts == [2]
         assert pooled == serial
         assert len(serial) == 0
 
-    @pytest.mark.parametrize("spec,budget,size", [("3C1", 5, 4), ("2C3", 12, 6)])
+    @pytest.mark.parametrize("spec,budget,size", [("3C1", 5, 4), ("2C3", 2, 6)])
     def test_pooled_partial_is_the_serial_one(
         self, monkeypatch, pool_starts, spec, budget, size
     ):
@@ -581,15 +590,17 @@ class TestPoolOnTwinFreeFamily:
         assert is_saturated(family, poset) is want
 
     @pytest.mark.parametrize(
-        "spec,want", [("2C1", True), ("3C1", False), ("2C2", "budget_exceeded")]
+        "spec,budget,want",
+        [("2C1", 5, True), ("3C1", 5, False), ("2C5", 1, "budget_exceeded")],
+        ids=["2C1-True", "3C1-False", "2C5-budget_exceeded"],
     )
     def test_is_saturated_budget_abort_matches_serial(
-        self, monkeypatch, pool_starts, spec, want
+        self, monkeypatch, pool_starts, spec, budget, want
     ):
         # The first representative in canonical order that runs out of
         # budget or fails to complete a copy decides, pooled or not.  For
-        # 2C2 the first chunk runs out and later ones hold exceptions
-        # searched within the budget.
+        # 2C5 at budget 1 (see above) the first chunk runs out and later
+        # ones hold exceptions searched within the budget.
         import posetsat.verify as verify_mod
 
         monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
@@ -597,7 +608,7 @@ class TestPoolOnTwinFreeFamily:
 
         def outcome(workers):
             try:
-                return is_saturated(family, poset, node_budget=5, workers=workers)
+                return is_saturated(family, poset, node_budget=budget, workers=workers)
             except BudgetExceededError:
                 return "budget_exceeded"
 
