@@ -18,22 +18,29 @@ sets.  Two engines implement the search behind one interface:
 * The chain engine serves pure chain-union targets.  Two chains are fully
   cross-incomparable exactly when each bottom escapes the other's top, so
   a chain is summarized by its (bottom, top) pair; the engine enumerates
-  realizable interval nodes via a longest-chain table and picks one node
-  per target chain, shrinking a compatibility bitset as it goes.  Two
-  prunings, each sound by a dominance argument, keep it small.  Before
-  each step down it colours the pool of candidates for the remaining
-  chains greedily into classes of pairwise incompatible nodes; the
-  remaining picks are pairwise compatible, one per class at most, so
-  fewer classes than remaining chains cut the subtree.  A search pinned
-  at a new member g tries, for g's own chain, only the endpoint classes
-  whose longest chain through g has exactly the chain's length: any
-  longer class can step an end towards g and only widen its pool.  This
-  is what makes exhaustive negative verdicts (freeness proofs, exception
-  sweeps) fast on families full of long chains.
+  realizable interval nodes via bitset level sets (level j above a member
+  holds the members on a chain of at least j + 2 sets from it, each level
+  one gather of the one before) and picks one node per target chain,
+  shortest chains first, shrinking a compatibility bitset as it goes.
+  Three prunings, each sound by a dominance or symmetry argument, keep it
+  small.  Before each step down it colours the pool of candidates for the
+  remaining chains greedily into classes of pairwise incompatible nodes;
+  the remaining picks are pairwise compatible, one per class at most, so
+  fewer classes than remaining chains cut the subtree.  Taking the
+  shortest chains first leaves a uniform tail for the colouring: after
+  the C1 pick of 2C_k+C1, the two k-chains.  A search pinned at a new
+  member g tries, for g's own chain, only the endpoint classes whose
+  longest chain through g has exactly the chain's length: any longer class
+  can step an end towards g and only widen its pool.  A search for any
+  copy makes its first pick once per orbit of the family's twin group.
+  This is what makes exhaustive negative verdicts (freeness proofs,
+  exception sweeps) fast on families full of long chains.
 
 Both engines read one containment index of the family (up, down and
 incomparable rows as bitsets over family indices), built by one pairwise
-pass; adding a member grows it in O(|F|).
+pass; adding a member grows it in O(|F|).  The index also keeps one column
+per ground element, so a new set's relation to every member is O(n)
+column reads, and the family's twin classes, computed once.
 
 Chains of equal length are interchangeable.  The chain engine picks their
 interval nodes in ascending order, which removes a factorial blowup
@@ -98,18 +105,21 @@ class _FamilyIndex:
     ``up[i]`` holds j iff masks[i] is a proper subset of masks[j]; ``down``
     and ``inc`` are the mirror and the incomparable set.  Both engines read
     it: the generic one all three rows, the chain engine ``up`` and
-    ``down``.
+    ``down``.  Its columns (``columns``) read the members below and above
+    any set.
     """
 
-    __slots__ = ("masks", "up", "down", "inc", "all_bits")
+    __slots__ = ("masks", "up", "down", "inc", "all_bits", "_cols", "_twins")
 
     def __init__(self, masks: tuple[int, ...], _rows=None):
         self.masks = masks
         nf = len(masks)
         self.all_bits = (1 << nf) - 1
+        self._twins: tuple[int, list[int]] | None = None
         if _rows is not None:
-            self.up, self.down, self.inc = _rows
+            self.up, self.down, self.inc, self._cols = _rows
             return
+        self._cols: list[int] | None = None
         up = [0] * nf
         down = [0] * nf
         for i in range(nf):
@@ -126,21 +136,43 @@ class _FamilyIndex:
         # Members are distinct, so whatever is neither above nor below is apart.
         self.inc = [self.all_bits & ~(u | d | 1 << i) for i, (u, d) in enumerate(zip(up, down))]
 
+    def columns(self) -> list[int]:
+        """``cols[e]``: the members that contain ground element e.
+
+        Built on first use: a search for any copy on the generic engine
+        never reads them.
+        """
+        if self._cols is None:
+            cols = [0] * max((m.bit_length() for m in self.masks), default=0)
+            bit = 1
+            for m in self.masks:
+                while m:
+                    low = m & -m
+                    cols[low.bit_length() - 1] |= bit
+                    m ^= low
+                bit <<= 1
+            self._cols = cols
+        return self._cols
+
     def relation_to(self, g: int) -> tuple[int, int]:
         """Bitsets of the members strictly below g and strictly above g.
 
+        A member lies inside g when it holds no element outside g, and
+        contains g when it holds every element of g: O(n) column reads.
         Raises ValueError if g is already a member.
         """
-        below = above = 0
-        bit = 1
-        for a in self.masks:
-            if a & g == a:
-                if a == g:
-                    raise ValueError(f"{g:#x} is already a member of the family")
-                below |= bit
-            elif a & g == g:
-                above |= bit
-            bit <<= 1
+        above, outside, rest = self.all_bits, 0, g
+        for col in self.columns():
+            if rest & 1:
+                above &= col
+            else:
+                outside |= col
+            rest >>= 1
+        if rest:  # g holds an element that no member holds
+            above = 0
+        below = self.all_bits & ~outside
+        if below & above:
+            raise ValueError(f"{g:#x} is already a member of the family")
         return below, above
 
     def extended(self, g: int) -> "_FamilyIndex":
@@ -157,7 +189,56 @@ class _FamilyIndex:
         up.append(above)
         down.append(below)
         inc.append(apart)
-        return _FamilyIndex(self.masks + (g,), _rows=(up, down, inc))
+        cols = self.columns()
+        cols = cols + [0] * (g.bit_length() - len(cols))
+        rest = g
+        while rest:
+            low = rest & -rest
+            cols[low.bit_length() - 1] |= bit
+            rest ^= low
+        return _FamilyIndex(self.masks + (g,), _rows=(up, down, inc, cols))
+
+    def twin_classes(self, n: int | None = None) -> list[int]:
+        """Masks of the twin classes of [n], ordered by their lowest element.
+
+        Ground elements i and j are twins when swapping them maps the family
+        onto itself, that is, when the swap takes every member holding i but
+        not j to a member: the members holding j but not i must be as many,
+        and the swap maps them back.  Twin-ness is transitive, so each
+        element is compared with the first element of every class so far,
+        one pair of columns each.
+
+        ``n`` must be at least the bit length of every member.  The classes
+        are computed once.  Without ``n``, those already computed for any
+        ground are returned, else those of the smallest ground that holds
+        every member: the elements past every member are twins of each other
+        and of any element no member holds, so every such ground gives the
+        members the same orbits.
+        """
+        twins = self._twins
+        if twins is not None and n in (None, twins[0]):
+            return twins[1]
+        cols = self.columns()
+        if n is None:
+            n = len(cols)
+        masks, members = self.masks, set(self.masks)
+        cols = cols + [0] * (n - len(cols))
+        classes: list[int] = []
+        for i in range(n):
+            col = cols[i]
+            for c, cls in enumerate(classes):
+                low = cls & -cls
+                other = cols[low.bit_length() - 1]
+                only = col & ~other
+                if only.bit_count() == (other & ~col).bit_count():
+                    pair = 1 << i | low
+                    if all(masks[j] ^ pair in members for j in _bits(only)):
+                        classes[c] = cls | 1 << i
+                        break
+            else:
+                classes.append(1 << i)
+        self._twins = (n, classes)
+        return classes
 
 
 class _SearchPlan:
@@ -278,22 +359,23 @@ class _ChainEngine:
     """Interval-node search for pure chain-union targets.
 
     A k-chain inside the family is represented by its (bottom, top) pair of
-    family indices; the longest-chain table ``ml[t][b]`` (number of family
-    sets on the longest chain from b to t inclusive) tells which pairs can
-    host which lengths.  Cross-incomparability of two chains reduces to
-    their extremes: bottom of each must escape the top of the other, so
-    compatibility of a node against everything chosen is two bitset ANDs.
-    Chains of equal length take their nodes in ascending order.  Neither
-    pruning changes a verdict: the colouring bound (``_solve``) cuts only
-    subtrees that hold no copy, so ``find`` returns what it would without
-    it, and a pinned search tries only exact-reach endpoint classes
-    (``_g_classes``), which dominate every other class.
+    family indices.  Bitset level sets tell which pairs can host which
+    lengths: level j above a member holds the members on a chain of at
+    least j + 2 sets from it, and each level is one gather of the one
+    before.  Cross-incomparability of two chains reduces to their extremes:
+    bottom of each must escape the top of the other, so compatibility of a
+    node against everything chosen is two bitset ANDs.  Slots run shortest
+    first, and chains of equal length take their nodes in ascending order.
+    No pruning changes a verdict: the colouring bound (``_solve``) cuts
+    only subtrees that hold no copy; a pinned search tries only exact-reach
+    endpoint classes (``_g_classes``), which dominate every other class;
+    and ``find`` starts only from one member per twin orbit, which some
+    copy reaches whenever any copy exists.
     """
 
     __slots__ = (
         "index",
         "slots",
-        "ml",
         "nodes",
         "all_nodes",
         "len_ok",
@@ -315,49 +397,33 @@ class _ChainEngine:
 
     def __init__(self, index: _FamilyIndex, poset: ComparabilityMatrix):
         self.index = index
-        # One slot per target chain, longest first.
-        self.slots = sorted((len(chain) for chain in poset.chains), reverse=True)
+        # One slot per target chain, shortest first.
+        self.slots = sorted(len(chain) for chain in poset.chains)
 
-        masks, up, down = index.masks, index.up, index.down
-        nf = len(masks)
-        need_pairs = self.slots[0] >= 2
+        up, down = index.up, index.down
+        nf = len(index.masks)
+        want_single = self.slots[0] == 1
+        pair_lengths = sorted({length for length in self.slots if length >= 2})
 
-        # Interval nodes, ordered by (bottom index, top index).  The tops of
-        # chains of at least j + 1 sets from b are the members above the tops
-        # of chains of at least j sets, so each bottom's tops take
-        # min_len - 2 steps up from its up row.
-        min_len = min((length for length in self.slots if length >= 2), default=None)
-        want_single = self.slots[-1] == 1
+        # Interval nodes, ordered by (bottom index, top index).  With L the
+        # shortest pair length, the tops of chains of at least L sets from b
+        # are level L - 2 above b, whose level 0 is its up row.  The cap is
+        # checked before any per-node structure is built.
+        tops_of = [0] * nf
         nodes: list[tuple[int, int]] = []
         for b in range(nf):
             if want_single:
                 nodes.append((b, b))
-            if need_pairs:
-                tops = up[b]
-                for _ in range(min_len - 2):
-                    tops = self._gather(up, tops)
+            if pair_lengths:
+                tops_of[b] = tops = _climb(up, up[b], pair_lengths[0] - 2)
                 nodes.extend((b, t) for t in _bits(tops))
         if len(nodes) > self.MAX_NODES:
             raise ValueError(
                 f"{len(nodes)} interval nodes exceed the chain engine's cap of {self.MAX_NODES}"
             )
-        # Longest-chain table: ml[t][b] for every member b strictly below t.
-        # A target made of single points never reads it.
-        ml = [_reach(masks, down[t], up, True) for t in range(nf)] if need_pairs else []
-        self.ml = ml
         self.nodes = nodes
         self.all_nodes = (1 << len(nodes)) - 1
-
-        self.len_ok = {}
-        for length in set(self.slots):
-            ok = 0
-            for c, (b, t) in enumerate(nodes):
-                if length == 1:
-                    if b == t:
-                        ok |= 1 << c
-                elif b != t and ml[t][b] >= length:
-                    ok |= 1 << c
-            self.len_ok[length] = ok
+        self.len_ok = self._length_masks(tops_of, want_single, pair_lengths)
 
         # nb[x]: nodes whose bottom fits inside member x;
         # nt[x]: nodes whose top contains member x.
@@ -368,46 +434,65 @@ class _ChainEngine:
             by_top[ti] |= 1 << c
         self.by_bottom = by_bottom
         self.by_top = by_top
-        self.nb = [self._gather(by_bottom, down[x] | 1 << x) for x in range(nf)]
-        self.nt = [self._gather(by_top, up[x] | 1 << x) for x in range(nf)]
+        self.nb = [_gather(by_bottom, down[x] | 1 << x) for x in range(nf)]
+        self.nt = [_gather(by_top, up[x] | 1 << x) for x in range(nf)]
         # Compatibility rows keep the inner search at one AND per node: a
         # node is compatible when neither chain's bottom fits in the other's top.
         self.adj = [self.all_nodes & ~self.nb[t] & ~self.nt[b] for b, t in nodes]
         self.plans = {}
 
-    @staticmethod
-    def _gather(rows: list[int], members: int) -> int:
-        """Union of ``rows[i]`` over the members i in a bitset."""
-        out = 0
-        while members:
-            low = members & -members
-            members ^= low
-            out |= rows[low.bit_length() - 1]
-        return out
+    def _length_masks(self, tops_of: list[int], want_single: bool, pair_lengths: list[int]):
+        """``len_ok[L]``: the nodes that can host a chain of L sets.
+
+        Every pair node hosts the shortest pair length.  A pair node (b, t)
+        hosts a longer L when t lies in level L - 2 above b; ``tops_of[b]``
+        is the shortest pair length's level, the tops of b's nodes, and each
+        longer length climbs on from the last.
+        """
+        up = self.index.up
+        longer = pair_lengths[1:]
+        climbs = [b - a for a, b in zip(pair_lengths, longer)]
+        len_ok = dict.fromkeys(longer, 0)
+        singles = c = 0
+        for tops in tops_of:
+            if want_single:
+                singles |= 1 << c
+                c += 1
+            level = tops
+            for length, climb in zip(longer, climbs):
+                level = _climb(up, level, climb)
+                len_ok[length] |= sum(1 << i for i, t in enumerate(_bits(tops)) if level >> t & 1) << c
+            c += tops.bit_count()
+        if want_single:
+            len_ok[1] = singles
+        if pair_lengths:
+            len_ok[pair_lengths[0]] = self.all_nodes & ~singles
+        return len_ok
 
     def _slot_plan(self, slots: list[int]):
-        """Per-depth masks for ``_solve`` over one slots list, built once.
+        """Per-depth data for ``_solve`` over one ascending slots list, built
+        once.
 
         ``ok[d]`` holds the nodes that can host slot d; ``ascending[d]``
-        says slot d has the length of slot d - 1; ``pool_ok[d]`` is None
-        when every slot from d on has slot d's length, else the nodes that
-        can host the shortest slot (see ``_solve``).
+        says slot d has the length of slot d - 1; ``uniform[d]`` says every
+        slot from d on has slot d's length, that is, the last slot's.
         """
         key = tuple(slots)
         plan = self.plans.get(key)
         if plan is None:
-            len_ok = self.len_ok
-            shortest = slots[-1]
             plan = (
-                [len_ok[length] for length in slots],
+                [self.len_ok[length] for length in slots],
                 [d > 0 and slots[d] == slots[d - 1] for d in range(len(slots))],
-                [None if length == shortest else len_ok[shortest] for length in slots],
+                [length == slots[-1] for length in slots],
             )
             self.plans[key] = plan
         return plan
 
-    def _solve(self, slots: list[int], cand: int, budget: list[int]):
+    def _solve(self, slots: list[int], cand: int, budget: list[int], first: int = -1):
         """Pick one compatible node per slot; returns chosen node ids or None.
+
+        ``slots`` ascend.  ``cand`` holds the nodes every pick must be
+        compatible with; ``first`` narrows the picks at depth 0 only.
 
         Colouring bound: the picks still to make are pairwise compatible
         nodes of a pool, so before the search steps a depth down it splits
@@ -420,7 +505,8 @@ class _ChainEngine:
         When every remaining slot has the next slot's length, the pool is
         the next depth's candidates, as equal chains ascend from there.
         Otherwise it is every node compatible with ``cand`` and the picks so
-        far that can host the shortest remaining length, which is sound:
+        far that can host the next slot, the shortest remaining one, which
+        is sound:
 
         * for lengths of at least 2, ``len_ok[L]`` lies inside
           ``len_ok[L']`` when L' <= L, so every remaining pick is in the pool;
@@ -433,13 +519,13 @@ class _ChainEngine:
         total = len(slots)
         if total == 0:
             return []
-        ok, ascending, pool_ok = self._slot_plan(slots)
+        ok, ascending, uniform = self._slot_plan(slots)
         adj = self.adj
         chosen = [0] * total
         avail = [0] * total
         cand_stack = [0] * total
         cand_stack[0] = cand
-        avail[0] = cand & ok[0]
+        avail[0] = cand & ok[0] & first
         depth = 0
         left = budget[0]
         while depth >= 0:
@@ -467,7 +553,7 @@ class _ChainEngine:
                 continue
             need = total - step  # slots left; the colouring counts its classes off
             if need > 1:
-                pool = a if pool_ok[step] is None else nxt & pool_ok[step]
+                pool = a if uniform[step] else nxt & ok[step]
                 while pool:
                     need -= 1
                     if not need:
@@ -486,7 +572,11 @@ class _ChainEngine:
         return None
 
     def _assemble(self, chosen: list[int], slots: list[int], extra=None):
-        """Masks per slot; ``extra`` = (g_path, g_slot_length) when pinned."""
+        """Masks per slot; ``extra`` = (g_path, g_slot_length) when pinned.
+
+        A node's chain is walked through the levels below its top, built
+        here, for a copy already found.
+        """
         index = self.index
         paths = []
         for v, length in zip(chosen, slots):
@@ -494,8 +584,8 @@ class _ChainEngine:
             if length == 1:
                 paths.append([index.masks[b]])
             else:
-                path = _walk(index.masks, b, length - 2, self.ml[t], index.up, index.down[t])
-                paths.append(path + [index.masks[t]])
+                levels = _levels(index.down, index.down[t], length - 2)
+                paths.append(_walk(index.masks, b, levels, index.up) + [index.masks[t]])
         if extra is not None:
             g_path, g_len = extra
             paths.append(g_path)
@@ -507,7 +597,33 @@ class _ChainEngine:
         return by_len
 
     def find(self, budget: list[int]):
-        chosen = self._solve(self.slots, self.all_nodes, budget)
+        """A copy in the family, or None.
+
+        Depth 0 tries only nodes whose bottom is the lowest-index member of
+        its orbit under the family's twin group; members m and m' share an
+        orbit when |m ∩ C| = |m' ∩ C| for every twin class C.  No copy is
+        lost.  Each σ in the twin group maps the family onto itself, so it
+        maps a copy X to a copy σ(X).  Among these images take one whose
+        least bottom over the chains of the first slot group (the shortest)
+        is smallest.  That bottom leads its orbit, or some τ would send it to
+        a lower member, and τσ(X) would beat σ(X).  Equal chains ascend and
+        nodes are ordered by bottom, so the search reaches σ(X) with that
+        bottom's node at depth 0.  A pinned search is not symmetric in g and
+        gets no such cut.
+        """
+        index = self.index
+        moving = [cls for cls in index.twin_classes() if cls & (cls - 1)]
+        first = -1  # with no twins, every member leads its own orbit
+        if moving:
+            fixed = ~sum(moving)
+            leaders, seen = 0, set()
+            for i, m in enumerate(index.masks):
+                orbit = (m & fixed, *[(m & cls).bit_count() for cls in moving])
+                if orbit not in seen:
+                    seen.add(orbit)
+                    leaders |= 1 << i
+            first = _gather(self.by_bottom, leaders)
+        chosen = self._solve(self.slots, self.all_nodes, budget, first)
         if chosen is None:
             return None
         return self._assemble(chosen, self.slots)
@@ -516,18 +632,20 @@ class _ChainEngine:
         """A copy inside masks + {g} whose image uses g; g is not a member."""
         index = self.index
         down_set, up_set = index.relation_to(g)
-        nb_g = self._gather(self.by_bottom, down_set)
-        nt_g = self._gather(self.by_top, up_set)
-        down_len = up_len = None  # read only where g's own chain is longer than g
-        if self.slots[0] >= 2:
-            down_len = _reach(index.masks, down_set, index.up, True)
-            up_len = _reach(index.masks, up_set, index.down, False)
+        nb_g = _gather(self.by_bottom, down_set)
+        nt_g = _gather(self.by_top, up_set)
+        # Level j below (above) g: the members on a chain of at least j + 2
+        # sets up (down) to g.  One level past the longest slot tells which
+        # members reach exactly that far.
+        longest = self.slots[-1]
+        down_levels = _levels(index.down, down_set, longest)
+        up_levels = _levels(index.up, up_set, longest)
 
-        for length in dict.fromkeys(self.slots):  # each length once, longest first
+        for length in dict.fromkeys(reversed(self.slots)):  # each length once, longest first
             rest_slots = self.slots[:]
             rest_slots.remove(length)
             scored = []
-            for b, t in self._g_classes(length, down_set, up_set, down_len, up_len):
+            for b, t in self._g_classes(length, down_levels, up_levels):
                 cand = self.all_nodes
                 cand &= ~(nb_g if t is None else self.nb[t])
                 cand &= ~(nt_g if b is None else self.nt[b])
@@ -541,49 +659,45 @@ class _ChainEngine:
                 chosen = self._solve(rest_slots, cand, budget)
                 if chosen is None:
                     continue
-                g_path = self._g_path(g, b, t, down_set, up_set, down_len, up_len)
+                g_path = self._g_path(g, b, t, down_levels, up_levels)
                 return self._assemble(chosen, rest_slots, extra=(g_path, length))
         return None
 
-    def _g_classes(self, length, down_set, up_set, down_len, up_len):
+    @staticmethod
+    def _g_classes(length: int, down_levels: list[int], up_levels: list[int]):
         """(bottom, top) endpoint classes for g's own chain; None means g.
 
-        A class reaches ``down_len[b] + up_len[t] - 1`` sets, its longest
-        chain through g, where g as an end reaches 1; only the classes that
-        reach exactly ``length`` are yielded.  That is enough: a class pool
-        is ``~nb[t] & ~nt[b]``, so a lower top or a higher bottom only
+        A member's reach is the number of sets on its longest chain to g, g
+        included, and g as an end reaches 1; a class reaches the sum of its
+        ends' reaches less 1, its longest chain through g.  Only the classes
+        that reach exactly ``length`` are yielded.  That is enough: a class
+        pool is ``~nb[t] & ~nt[b]``, so a lower top or a higher bottom only
         widens it, and a class that reaches further can move its top (or
         bottom) one set towards g along its longest chain, reaching one set
         less with a pool at least as wide.  So an exact-reach class holds a
         copy whenever a longer one does, and a shorter one holds no chain of
-        ``length`` sets.  Classes come in (bottom, top) index order.
+        ``length`` sets.  The levels run to ``length - 1`` at least.
         """
         if length == 1:
             yield (None, None)
             return
-        tops_by_reach: dict[int, list] = {1: [None]}
-        for t in _bits(up_set):
-            tops_by_reach.setdefault(up_len[t], []).append(t)
-        for b in [None, *_bits(down_set)]:
-            d = 1 if b is None else down_len[b]
-            for t in tops_by_reach.get(length + 1 - d, ()):
-                yield (b, t)
+        for d in range(1, length + 1):
+            tops = _exact_reach(up_levels, length + 1 - d)
+            for b in _exact_reach(down_levels, d):
+                for t in tops:
+                    yield (b, t)
 
-    def _g_path(self, g, b, t, down_set, up_set, down_len, up_len):
-        """Realize g's chain from the exact-reach class (b, t).
-
-        It runs from b up to g through ``down_len[b]`` sets and on to t
-        through ``up_len[t]``, g counted in both.
-        """
+    def _g_path(self, g, b, t, down_levels, up_levels):
+        """Realize g's chain from the exact-reach class (b, t): from b up to
+        g along the levels below g, then on to t along those above it."""
         index = self.index
-        if b is None:
-            down_part = [g]
-        else:
-            down_part = _walk(index.masks, b, down_len[b] - 2, down_len, index.up, down_set) + [g]
-        if t is None:
-            up_part = []
-        else:
-            up_part = _walk(index.masks, t, up_len[t] - 2, up_len, index.down, up_set)[::-1]
+        down_part, up_part = [g], []
+        if b is not None:
+            below = down_levels[: _reach_of(down_levels, b) - 2]
+            down_part = _walk(index.masks, b, below, index.up) + down_part
+        if t is not None:
+            above = up_levels[: _reach_of(up_levels, t) - 2]
+            up_part = _walk(index.masks, t, above, index.down)[::-1]
         return down_part + up_part
 
 
@@ -594,62 +708,68 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _reach(
-    masks: tuple[int, ...], members: int, step: list[int], descending: bool
-) -> dict[int, int]:
-    """Longest chains through a member set to an end point just past it.
-
-    The end point is a set beyond every member: above them all when
-    ``descending`` (``step`` = up rows), below them all otherwise (``step`` =
-    down rows).  ``out[i]`` counts the sets on the longest chain from member
-    i through members to the end point, both ends included.
-    """
-    out: dict[int, int] = {}
-    if not members:
-        return out
-    # A proper superset has more elements, so cardinality order is topological.
-    order = sorted(_bits(members), key=lambda i: masks[i].bit_count(), reverse=descending)
-    for i in order:
-        best = 1
-        nxt = step[i] & members
-        while nxt:
-            low = nxt & -nxt
-            nxt ^= low
-            here = out[low.bit_length() - 1]
-            if here > best:
-                best = here
-        out[i] = 1 + best
+def _gather(rows: list[int], members: int) -> int:
+    """Union of ``rows[i]`` over the members i in a bitset."""
+    out = 0
+    while members:
+        low = members & -members
+        members ^= low
+        out |= rows[low.bit_length() - 1]
     return out
 
 
-def _walk(
-    masks: tuple[int, ...],
-    start: int,
-    count: int,
-    lengths: dict[int, int],
-    step: list[int],
-    within: int,
-) -> list[int]:
-    """Masks of ``start`` and ``count`` further members along ``step`` rows.
+def _climb(rows: list[int], members: int, steps: int) -> int:
+    """What ``steps`` gathers along ``rows`` reach from ``members``."""
+    for _ in range(steps):
+        members = _gather(rows, members)
+    return members
 
-    Each move takes the lowest-indexed member of ``within`` that still
-    reaches the end point in the remaining number of moves, as ``lengths``
-    (from :func:`_reach`) promises.
+
+def _levels(rows: list[int], first: int, count: int) -> list[int]:
+    """``count`` level sets: ``first``, then each one gather of the last.
+
+    With ``first`` the members next to an end point (the down row of a top,
+    the members below g) and ``rows`` stepping away from it, level j holds
+    the members on a chain of at least j + 2 sets to the end point.
+    """
+    out = [first]
+    for _ in range(count - 1):
+        out.append(_gather(rows, out[-1]))
+    return out[:count]
+
+
+def _exact_reach(levels: list[int], reach: int) -> list:
+    """Members whose longest chain to the end point has exactly ``reach``
+    sets; reach 1 is the end point itself, as None."""
+    if reach == 1:
+        return [None]
+    return list(_bits(levels[reach - 2] & ~levels[reach - 1]))
+
+
+def _reach_of(levels: list[int], i: int) -> int:
+    """Sets on member i's longest chain to the end point, end included;
+    i lies in level 0, and the levels run one past its reach."""
+    reach = 2
+    while levels[reach - 1] >> i & 1:
+        reach += 1
+    return reach
+
+
+def _walk(masks: tuple[int, ...], start: int, levels: list[int], step: list[int]) -> list[int]:
+    """Masks of ``start`` and one member of each level, the last level first.
+
+    ``start`` lies one level past the last, and each move along ``step``
+    rows takes the lowest-indexed member of the next level down, which the
+    level sets promise exists.
     """
     path = [masks[start]]
     cur = start
-    for need in range(count + 1, 1, -1):
-        nxt = step[cur] & within
-        while nxt:
-            low = nxt & -nxt
-            nxt ^= low
-            c = low.bit_length() - 1
-            if lengths[c] >= need:
-                path.append(masks[c])
-                cur = c
-                break
-        else:
-            raise AssertionError("longest-chain table broke its promise")
+    for level in reversed(levels):
+        nxt = step[cur] & level
+        if not nxt:
+            raise AssertionError("level sets broke their promise")
+        cur = (nxt & -nxt).bit_length() - 1
+        path.append(masks[cur])
     return path
 
 
@@ -682,6 +802,14 @@ class CopySearch:
     @property
     def masks(self) -> tuple[int, ...]:
         return self._index.masks
+
+    def twin_classes(self, n: int) -> list[int]:
+        """Masks of the twin classes of [n], ordered by their lowest element.
+
+        ``n`` must be at least the bit length of every member.  Computed
+        once per family and shared with the chain engine's ``find``.
+        """
+        return self._index.twin_classes(n)
 
     def _pick_engine(self) -> None:
         """Chain engine over the index where it serves, else the generic plan."""

@@ -19,7 +19,10 @@ F, so whether G is one depends only on the sizes |G ∩ C|: the orbit of G
 is every subset with the same sizes, and it lies wholly inside F or wholly
 outside it.  The representative takes the lowest |G ∩ C| elements of each
 class, which makes it the canonically first member of its orbit.  A
-family whose classes are all singletons is swept subset by subset.
+family whose classes are all singletons is swept subset by subset.  The
+classes come from the searcher (``CopySearch.twin_classes``), which
+computes them once per family: its freeness check reads the same classes
+to make its first pick once per orbit of the twin group.
 """
 
 from __future__ import annotations
@@ -90,24 +93,6 @@ def _check_ground(family: Family, max_ground: int) -> None:
             f"n <= {max_ground}; pass a larger max_ground (--max-n on the "
             "command line) to override"
         )
-
-
-def _twin_classes(members: set[int], n: int) -> list[int]:
-    """Masks of the twin classes of [n], ordered by their lowest element.
-
-    Each element is compared with the first element of every class so far,
-    which suffices because twin-ness is transitive: O(n · classes · |F|).
-    """
-    classes: list[int] = []
-    for i in range(n):
-        for c, cls in enumerate(classes):
-            pair = 1 << i | (cls & -cls)
-            if all((m & pair) in (0, pair) or (m ^ pair) in members for m in members):
-                classes[c] = cls | 1 << i
-                break
-        else:
-            classes.append(1 << i)
-    return classes
 
 
 def _singletons(cls: int) -> list[int]:
@@ -191,12 +176,12 @@ def _sweep(
 
 
 def _exceptions(
-    family: Family, poset: ComparabilityMatrix, searcher: CopySearch, node_budget: int, workers: int
+    family: Family, poset: ComparabilityMatrix, searcher: CopySearch, classes: list[int],
+    node_budget: int, workers: int,
 ) -> Family:
     """Drain the sweep into the union of the orbits of its non-completing
     representatives; a budget overrun carries those swept before it."""
     members = set(family.sets)
-    classes = _twin_classes(members, family.n)
     out: list[int] = []
     try:
         for g, size, completes in _sweep(family, poset, searcher, classes, node_budget, workers):
@@ -231,9 +216,10 @@ def exceptions(
     """
     _check_ground(family, max_ground)
     searcher = CopySearch(family.sets, poset)
+    classes = searcher.twin_classes(family.n)  # before the freeness check, which reads them
     if not _is_free(searcher, node_budget):
         raise ValueError("family already contains an induced copy of the target")
-    return _exceptions(family, poset, searcher, node_budget, workers)
+    return _exceptions(family, poset, searcher, classes, node_budget, workers)
 
 
 def is_saturated(
@@ -254,10 +240,10 @@ def is_saturated(
     in canonical order runs out, whatever ``workers`` is.
     """
     searcher = CopySearch(family.sets, poset)
+    classes = searcher.twin_classes(family.n)  # before the freeness check, which reads them
     if not _is_free(searcher, node_budget):
         return False
     _check_ground(family, max_ground)
-    classes = _twin_classes(set(family.sets), family.n)
     with closing(_sweep(family, poset, searcher, classes, node_budget, workers, True)) as sweep:
         return all(completes for _, _, completes in sweep)
 
@@ -305,6 +291,7 @@ def verification_report(
     poset_name = render_poset_spec(poset.spec)
     empty = Family(family.n, ())
     searcher = CopySearch(family.sets, poset)
+    classes = searcher.twin_classes(family.n)  # before the freeness check, which reads them
     try:
         free = _is_free(searcher, node_budget)
     except BudgetExceededError:
@@ -313,7 +300,7 @@ def verification_report(
         return VerificationReport(poset_name, len(family), free, 0, empty, False)
     _check_ground(family, max_ground)
     try:
-        exc = _exceptions(family, poset, searcher, node_budget, workers)
+        exc = _exceptions(family, poset, searcher, classes, node_budget, workers)
     except BudgetExceededError as err:  # _exceptions attaches the partial Family
         return VerificationReport(
             poset_name, len(family), True, len(err.partial), err.partial, True

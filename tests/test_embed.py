@@ -1,7 +1,8 @@
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import all_families, brute_force_chains_through, brute_force_has_copy
@@ -29,8 +30,9 @@ from posetsat.setfam import Family, canonical_key, canonicalize_family, mask_of
 C2 = build_poset("C2")
 ORACLE_SPECS = ["C2", "C3", "2C2", "C2+C1"]
 # Three or more chains, or a 3-chain: where the chain engine's colouring
-# bound and its exact-reach endpoint classes act.
-CHAIN_PRUNING_SPECS = ["3C1", "2C2+C1", "C3+2C1", "2C3"]
+# bound and its exact-reach endpoint classes act; mixed lengths run
+# shortest first.
+CHAIN_PRUNING_SPECS = ["3C1", "2C2+C1", "C3+2C1", "2C3", "C3+C2+C1", "C2+2C1"]
 # Targets with a Boolean-lattice term: only the generic engine serves them.
 LATTICE_SPECS = ["B2", "B2-", "B2--", "B3--", "B2+C1"]
 
@@ -178,6 +180,19 @@ class TestAgainstBruteForce:
     def test_chain_targets_sampled_ground_four(self, spec):
         self._check_sampled_ground_four(spec)
 
+    @pytest.mark.parametrize("spec", ["2C2+C1", "C3+2C1", "C3+C2+C1", "C2+2C1"])
+    def test_mixed_targets_in_shuffled_member_order(self, spec):
+        # Node order follows member order; no pruning may lean on the
+        # members coming smallest first.  A colouring pool that treats a
+        # mixed tail as uniform passes on canonical order and fails here.
+        poset = build_poset(spec)
+        rng = random.Random(spec)
+        for _ in range(100):
+            masks = [g for g in range(16) if rng.random() < 0.5]
+            rng.shuffle(masks)
+            pins = [g for g in range(16) if g not in masks][::3]
+            self._check_target(tuple(masks), 4, poset, pins)
+
     def test_engines_agree_on_boolean_and_chain_targets(self):
         chain_posets = [build_poset(s) for s in ("2C2", "C3+C1", "3C1")]
         for masks in random_families(150):
@@ -273,15 +288,24 @@ class TestGenericPruning:
 
 
 class TestChainPruning:
-    """The chain engine's colouring bound and exact-reach endpoint classes.
+    """The chain engine's colouring bound, exact-reach endpoint classes,
+    shortest slots first and one first pick per twin orbit.
 
     Without the bound, proving mc2-binom(11,2) free of 7C2 takes 218,798
-    nodes and mck(12,3,3) free of 3C3 takes 21,751; with it, 11,715 and 499.
+    nodes and mck(12,3,3) free of 3C3 takes 21,751; with it, 11,715 and 499;
+    with the first pick once per twin orbit as well, 4,311 and 301.  Slots
+    taken longest first left the colouring bound idle on 2C_k+C1: freeness
+    of 2ck-c1(11,4) took 18,069 nodes, 2ck-c1(12,6) 6,274,012, and
+    2ck-c1(14,7) ran out of the default budget.  Shortest first, the tail
+    after the C1 pick is uniform, and they take 22, 24 and 28.
     """
 
     @pytest.mark.parametrize("family,spec,budget", [
-        (construct_mc2_binom(11, 2), "7C2", 50_000),
+        (construct_mc2_binom(11, 2), "7C2", 6_000),
         (construct_mck(12, 3, 3), "3C3", 2_000),
+        (construct_2ck_c1(11, 4), "2C4+C1", 100),
+        (construct_2ck_c1(12, 6), "2C6+C1", 1_000),
+        (construct_2ck_c1(14, 7), "2C7+C1", embed.DEFAULT_NODE_BUDGET),
     ])
     def test_freeness_within_budget(self, family, spec, budget):
         searcher = CopySearch(family.sets, build_poset(spec))
@@ -307,9 +331,9 @@ class TestChainPruning:
         seen = []
         original = _ChainEngine._g_classes
 
-        def recording(self, length, *args):
-            seen.append(args)
-            return original(self, length, *args)
+        def recording(self, length, *levels):
+            seen.append(levels)
+            return original(length, *levels)
 
         monkeypatch.setattr(_ChainEngine, "_g_classes", recording)
         checked = 0
@@ -320,7 +344,7 @@ class TestChainPruning:
                     continue
                 seen.clear()
                 engine.find_containing(g, [embed.DEFAULT_NODE_BUDGET])
-                down_set, up_set, down_len, up_len = seen[0]
+                down_levels, up_levels = seen[0]
                 chains = brute_force_chains_through(masks, g)
                 reach: dict[tuple[int, int], int] = {}
                 for chain in chains:
@@ -329,7 +353,7 @@ class TestChainPruning:
                 for length in lengths:
                     tried = [
                         (g if b is None else masks[b], g if t is None else masks[t])
-                        for b, t in original(engine, length, down_set, up_set, down_len, up_len)
+                        for b, t in original(length, down_levels, up_levels)
                     ]
                     assert sorted(tried) == sorted(e for e, r in reach.items() if r == length)
                     pools = [self._pool(engine, *ends) for ends in tried]
@@ -434,6 +458,66 @@ def test_engines_agree_on_random_chain_unions(case):
             assert emb is None or (g in emb.assignment and verify_embedding(grown, poset, emb))
 
 
+@st.composite
+def block_families(draw):
+    """Families with twins, n <= 7: a core family over c <= 4 points, each
+    point blown up to a block of 1 to 3 twins.
+
+    In half of them a core member may meet a block in part, bringing every
+    subset that meets each block in as many elements; their twin orbits
+    then hold several members, which ``find`` tries once.  At most 16
+    members keep the brute force quick.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)
+                 .filter(lambda sizes: sum(sizes) <= 7))
+    blocks, n = [], 0
+    for size in sizes:
+        blocks.append([1 << e for e in range(n, n + size)])
+        n += size
+    partial = draw(st.booleans())
+    masks = set()
+    selected = draw(st.lists(st.booleans(), min_size=1 << len(sizes), max_size=1 << len(sizes)))
+    for core in (s for s, keep in enumerate(selected) if keep):
+        choices = [0]
+        for i, block in enumerate(blocks):
+            if core >> i & 1:
+                count = draw(st.integers(1, len(block))) if partial else len(block)
+                choices = [m + sum(c) for m in choices for c in combinations(block, count)]
+        masks.update(choices)
+    assume(len(masks) <= 16)
+    return Family(n, tuple(sorted(masks, key=canonical_key)))
+
+
+BLOCK_SPECS = ["C3+C2+C1", "C4+C2", "2C2+C1", "3C1", "2C3", "C2+2C1", "2C2"]
+
+
+@settings(deadline=None)
+@given(block_families(), st.sampled_from(BLOCK_SPECS), st.data())
+def test_chain_engine_on_block_families(family, spec, data):
+    # Twins make find's first picks skip members of a shared orbit.
+    poset = build_poset(spec)
+    searcher = CopySearch(family.sets, poset, engine="chains")
+    assert (searcher.find() is not None) == brute_force_has_copy(family.sets, poset)
+    absent = [g for g in range(1 << family.n) if g not in family.sets]
+    pins = data.draw(st.lists(st.sampled_from(absent), max_size=2, unique=True)) if absent else []
+    for g in pins:
+        emb = searcher.find_containing(g)
+        assert (emb is not None) == brute_force_has_copy(family.sets + (g,), poset, require=g)
+
+
+@settings(deadline=None)
+@given(block_families(), st.sampled_from(BLOCK_SPECS), st.data())
+def test_find_verdict_survives_relabelling(family, spec, data):
+    perm = data.draw(st.permutations(range(family.n)))
+    image = tuple(sum(1 << perm[i] for i in range(family.n) if m >> i & 1) for m in family.sets)
+    poset = build_poset(spec)
+
+    def free(masks):
+        return CopySearch(masks, poset, engine="chains").find() is None
+
+    assert free(image) == free(family.sets)
+
+
 def _verdicts(cases):
     """find and find_containing verdicts of the auto engine on each case."""
     out = []
@@ -470,11 +554,12 @@ class TestChainEngineLimits:
         monkeypatch.setattr(_ChainEngine, "MAX_NODES", nodes - 1)
         smaller = CopySearch(masks[:-1], poset, engine="chains")
 
-        def no_table(*args):
-            raise AssertionError("longest-chain table built past MAX_NODES")
+        def no_masks(*args):
+            raise AssertionError("per-node length masks built past MAX_NODES")
 
-        # The table is the first thing built after the nodes are listed.
-        monkeypatch.setattr(embed, "_reach", no_table)
+        # The length masks are the first per-node structure built after the
+        # nodes are listed.
+        monkeypatch.setattr(_ChainEngine, "_length_masks", no_masks)
         with pytest.raises(ValueError, match="interval nodes"):
             CopySearch(masks, poset, engine="chains")
         searcher = CopySearch(masks, poset)

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from posetsat.embed import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     CopySearch,
+    _FamilyIndex,
     find_induced_copy,
 )
 from posetsat.posetspec import build_poset
@@ -25,7 +27,6 @@ from posetsat.setfam import Family, canonicalize_family, mask_of
 from posetsat.verify import (
     _representatives,
     _sweep_chunk,
-    _twin_classes,
     exceptions,
     greedy_saturate,
     is_induced_p_free,
@@ -307,8 +308,12 @@ def reference_exceptions(family, poset):
     )
 
 
+def twin_classes(family):
+    return _FamilyIndex(family.sets).twin_classes(family.n)
+
+
 def class_sizes(family):
-    return [cls.bit_count() for cls in _twin_classes(set(family.sets), family.n)]
+    return [cls.bit_count() for cls in twin_classes(family)]
 
 
 def relabel(family, perm):
@@ -364,7 +369,7 @@ class TestTwinClasses:
     def test_representative_counts(self, family, count):
         # One representative per vector of class intersection sizes; the
         # sweep searches those outside the family.
-        classes = _twin_classes(set(family.sets), family.n)
+        classes = twin_classes(family)
         assert math.prod(cls.bit_count() + 1 for cls in classes) == count
         # Orbits lie wholly inside or outside the family, so the members
         # take up one representative per distinct size vector.
@@ -373,6 +378,21 @@ class TestTwinClasses:
 
     def test_boolean_lattice_is_one_class(self):
         assert class_sizes(boolean_family(4)) == [4]
+
+    @settings(deadline=None)
+    @given(families(max_n=7))
+    def test_classes_match_the_definition(self, family):
+        # Two elements share a class exactly when swapping them maps the
+        # family onto itself, and the classes come lowest element first.
+        members = set(family.sets)
+        classes = twin_classes(family)
+        assert sum(classes) == (1 << family.n) - 1
+        assert classes == sorted(classes, key=lambda cls: cls & -cls)
+        for i, j in combinations(range(family.n), 2):
+            swapped = {m & ~(1 << i | 1 << j) | (m >> i & 1) << j | (m >> j & 1) << i
+                       for m in members}
+            together = any(cls >> i & 1 and cls >> j & 1 for cls in classes)
+            assert together == (swapped == members), (family, i, j)
 
 
 NAMED = [
@@ -461,7 +481,7 @@ class TestSaturationStopsAtFirstException:
         first one that is an exception, found by the unreduced sweep."""
         family, poset = construct_mck(8, 2, 3), build_poset("2C3")
         members = set(family.sets)
-        reps = _representatives(_twin_classes(members, family.n), members)
+        reps = _representatives(twin_classes(family), members)
         exc = set(reference_exceptions(family, poset).sets)
         rank = next(i for i, g in enumerate(reps) if g in exc)
         assert (rank, len(reps)) == (17, 166)
