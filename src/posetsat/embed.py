@@ -70,12 +70,19 @@ class BudgetExceededError(RuntimeError):
     """Search ran out of nodes before reaching a verdict.
 
     Sweeps that abort midway attach what they had: ``partial`` holds the
-    results gathered so far.
+    results gathered so far, and ``candidate`` the subset whose search ran
+    out.
     """
 
-    def __init__(self, message: str = "node budget exceeded", partial: object = None):
+    def __init__(
+        self,
+        message: str = "node budget exceeded",
+        partial: object = None,
+        candidate: int | None = None,
+    ):
         super().__init__(message)
         self.partial = partial
+        self.candidate = candidate
 
 
 @dataclass(frozen=True)
@@ -609,11 +616,15 @@ class _ChainEngine:
         a lower member, and τσ(X) would beat σ(X).  Equal chains ascend and
         nodes are ordered by bottom, so the search reaches σ(X) with that
         bottom's node at depth 0.  A pinned search is not symmetric in g and
-        gets no such cut.
+        gets no such cut, and neither does a one-chain target: its first
+        node tried is already a copy, so the cut cannot save a node, and
+        computing the classes would cost more than the search.
         """
         index = self.index
-        moving = [cls for cls in index.twin_classes() if cls & (cls - 1)]
         first = -1  # with no twins, every member leads its own orbit
+        moving = [] if len(self.slots) == 1 else [
+            cls for cls in index.twin_classes() if cls & (cls - 1)
+        ]
         if moving:
             fixed = ~sum(moving)
             leaders, seen = 0, set()

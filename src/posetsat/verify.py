@@ -23,6 +23,38 @@ family whose classes are all singletons is swept subset by subset.  The
 classes come from the searcher (``CopySearch.twin_classes``), which
 computes them once per family: its freeness check reads the same classes
 to make its first pick once per orbit of the twin group.
+
+The sweep reuses the copies it finds.  Lemma: let X be an induced copy in
+F ∪ {g} that uses g, and let g′ be absent from F.  If g′ stands in the
+same relation to every other image of X as g does (the image lies inside
+g, contains g, or is apart from it), then X − g + g′ is an induced copy in
+F ∪ {g′} that uses g′.  Proof: the other images keep their relations to
+one another, each keeps its relation to the image at g's place, and g′ is
+no member of F, so the images stay distinct.  The test takes three
+checks: ``need ⊆ g′ ⊆ room`` and g′ incomparable to each image in
+``apart``, where ``need`` is the union of the images inside g, ``room`` the
+intersection of those containing g (all of [n] when there are none), and
+``apart`` the rest; an image inside g′ is a member and g′ is not, so it
+lies strictly inside.  Such a (need, room, apart) triple is a
+*certificate*.  A representative that a stored certificate covers
+completes a copy, exactly and for any target, and needs no search; any
+other is searched, and a copy found becomes a certificate.  The store is
+indexed by ground element (``_Certificates``), so the certificates whose
+interval admits a set are O(n) bitset ORs away.
+
+The sweep decides every representative in one serial loop, pooled or
+not, so budgets mean the same for any ``workers``.  A pool chunk runs the
+same loop over its own representatives on a store of its own and only
+searches ahead: it returns the outcome of each search it ran (a
+certificate, no copy, or a budget overrun).  When the loop would search a
+representative, it takes the chunk's outcome if the chunk searched that
+one, and otherwise searches it itself.  A pinned search is deterministic
+for the same masks and budget, so the loop searches, stores, raises and
+returns exactly what the serial loop does: the first representative in
+canonical order whose search the loop needs and that runs out of budget
+ends the sweep, with the same ``partial`` and ``candidate``, whatever
+``workers`` is.  A chunk's overrun at a representative the loop covers
+never ends the sweep.
 """
 
 from __future__ import annotations
@@ -115,6 +147,8 @@ def _expand(rep: int, size: int, classes: list[int], members: set[int]) -> list[
     orbit ``size`` the sweep computed."""
     orbit = [rep]
     for cls in classes:
+        if not cls & (cls - 1):
+            continue  # a one-element class leaves rep as it is
         choices = [sum(c) for c in combinations(_singletons(cls), (rep & cls).bit_count())]
         orbit = [g & ~cls | c for g in orbit for c in choices]
     if orbit[0] != rep or len(orbit) != size or any(g in members for g in orbit):
@@ -125,20 +159,99 @@ def _expand(rep: int, size: int, classes: list[int], members: set[int]) -> list[
     return orbit
 
 
-def _sweep_chunk(args) -> tuple[list[bool], bool]:
-    """Pool job: whether each representative of a chunk completes a copy, and
-    whether a search ran out of budget.  Ends there, or with ``first`` at a
-    representative that completes none."""
-    masks, poset, chunk, node_budget, first = args
-    searcher, out = CopySearch(masks, poset), []
+class _Certificates:
+    """The copies a sweep has found, kept as certificates (see the module
+    docstring) and indexed by ground element, the way
+    ``_FamilyIndex.relation_to`` reads its columns: ``need_has[e]`` holds
+    the certificates whose ``need`` holds e, ``room_lacks[e]`` those whose
+    ``room`` lacks it.  So the certificates whose interval admits a set are
+    O(n) ORs away, and only those run the ``apart`` check."""
+
+    __slots__ = ("need_has", "room_lacks", "apart", "stored")
+
+    def __init__(self, n: int):
+        self.need_has = [0] * n
+        self.room_lacks = [0] * n
+        self.apart: list[tuple[int, ...]] = []
+        self.stored = 0
+
+    def add(self, cert: tuple[int, int, tuple[int, ...]]) -> None:
+        need, room, apart = cert
+        bit = 1 << len(self.apart)
+        for e in range(len(self.need_has)):
+            if need >> e & 1:
+                self.need_has[e] |= bit
+            if not room >> e & 1:
+                self.room_lacks[e] |= bit
+        self.apart.append(apart)
+        self.stored |= bit
+
+    def covers(self, g: int) -> bool:
+        """Whether a stored copy turns into one in F + {g} that uses g."""
+        if not self.stored:
+            return False
+        out_of_interval, rest = 0, g
+        for need_has, room_lacks in zip(self.need_has, self.room_lacks):
+            out_of_interval |= room_lacks if rest & 1 else need_has
+            rest >>= 1
+        fits = self.stored & ~out_of_interval
+        while fits:
+            low = fits & -fits
+            fits ^= low
+            for a in self.apart[low.bit_length() - 1]:
+                common = g & a
+                if common == g or common == a:
+                    break
+            else:
+                return True
+        return False
+
+
+def _certificate(g: int, images: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """(need, room, apart) of a copy in F + {g} that uses g; ``room`` is -1,
+    every element, when no image contains g."""
+    need, room, apart = 0, -1, []
+    for m in images:
+        if m == g:
+            continue
+        if m & g == m:
+            need |= m
+        elif m & g == g:
+            room &= m
+        else:
+            apart.append(m)
+    return need, room, tuple(apart)
+
+
+_OVERRAN = "overran"  # a string, so a pool worker's outcome still compares equal
+
+
+def _search(searcher: CopySearch, g: int, node_budget: int):
+    """g's pinned search: the certificate of the copy it finds, None when
+    there is none, or ``_OVERRAN`` when the budget runs out first."""
     try:
-        for g in chunk:
-            out.append(searcher.find_containing(g, node_budget) is not None)
-            if first and not out[-1]:
-                break
+        copy = searcher.find_containing(g, node_budget)
     except BudgetExceededError:
-        return out, True
-    return out, False
+        return _OVERRAN
+    return None if copy is None else _certificate(g, copy.assignment)
+
+
+def _sweep_chunk(args) -> dict[int, object]:
+    """Pool job: the sweep's loop over one chunk, on a store of its own.
+    Returns the outcome of each representative it searched (``_search``);
+    ends at an overrun, or with ``first`` at a representative that
+    completes no copy."""
+    masks, poset, n, chunk, node_budget, first = args
+    searcher, store, out = CopySearch(masks, poset), _Certificates(n), {}
+    for g in chunk:
+        if store.covers(g):
+            continue
+        out[g] = outcome = _search(searcher, g, node_budget)
+        if outcome == _OVERRAN or (first and outcome is None):
+            break
+        if outcome is not None:
+            store.add(outcome)
+    return out
 
 
 def _sweep(
@@ -147,9 +260,17 @@ def _sweep(
 ) -> Iterator[tuple[int, int, bool]]:
     """Yield (representative, orbit size, completes a copy) for each absent
     representative of a family ``searcher`` found free, in canonical order.
-    A budget overrun raises BudgetExceededError right after the
-    representatives before it, pooled or not; a pool cancels the chunks not
-    yet started.  ``first`` lets each pool job stop at its first exception."""
+
+    A representative covered by a stored certificate completes a copy;
+    any other is searched, and a copy found becomes a certificate.  A pool
+    only searches ahead: this loop decides every representative, and takes
+    a chunk's outcome for a representative it would search itself.  A
+    budget overrun raises BudgetExceededError, with ``candidate`` set, at
+    the first representative whose search runs out, pooled or not; a pool
+    cancels the chunks not yet started.  ``first`` lets each pool job stop
+    at its first exception.
+    """
+    n = family.n
     reps = _representatives(classes, set(family.sets))
     moving = [(cls, cls.bit_count()) for cls in classes if cls & (cls - 1)]
 
@@ -158,21 +279,30 @@ def _sweep(
 
     # A forked pool starts all its processes at the first submit.
     workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or len(reps) < POOL_THRESHOLD:
-        for g in reps:
-            yield g, size(g), searcher.find_containing(g, node_budget) is not None
-        return
-    step = (len(reps) + workers * 4 - 1) // (workers * 4)
-    chunks = [reps[i : i + step] for i in range(0, len(reps), step)]
-    jobs = [(family.sets, poset, chunk, node_budget, first) for chunk in chunks]
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pooled = workers > 1 and len(reps) >= POOL_THRESHOLD
+    pool = ProcessPoolExecutor(max_workers=workers) if pooled else None
+    store, ahead = _Certificates(n), []
     try:
-        for chunk, (verdicts, aborted) in zip(chunks, pool.map(_sweep_chunk, jobs)):
-            yield from ((g, size(g), completes) for g, completes in zip(chunk, verdicts))
-            if aborted:
-                raise BudgetExceededError("exception sweep aborted by node budget")
+        if pooled:
+            step = (len(reps) + workers * 4 - 1) // (workers * 4)
+            ahead = [
+                pool.submit(_sweep_chunk, (family.sets, poset, n, reps[i : i + step], node_budget, first))
+                for i in range(0, len(reps), step)
+            ]
+        for i, g in enumerate(reps):
+            if store.covers(g):
+                yield g, size(g), True
+                continue
+            searched = ahead[i // step].result() if ahead else {}
+            outcome = searched[g] if g in searched else _search(searcher, g, node_budget)
+            if outcome == _OVERRAN:
+                raise BudgetExceededError("exception sweep aborted by node budget", candidate=g)
+            if outcome is not None:
+                store.add(outcome)
+            yield g, size(g), outcome is not None
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _exceptions(
@@ -187,9 +317,9 @@ def _exceptions(
         for g, size, completes in _sweep(family, poset, searcher, classes, node_budget, workers):
             if not completes:
                 out += _expand(g, size, classes, members)
-    except BudgetExceededError:
-        partial = canonicalize_family(out, family.n)
-        raise BudgetExceededError("exception sweep aborted by node budget", partial=partial)
+    except BudgetExceededError as err:
+        err.partial = canonicalize_family(out, family.n)
+        raise
     return canonicalize_family(out, family.n)
 
 
@@ -208,11 +338,14 @@ def exceptions(
     sweep is exhaustive, so the ground size is capped (raise
     ``max_ground`` explicitly to go past 16).  ``node_budget`` caps each
     representative's search (and the freeness check), not the sweep as a
-    whole; a representative that runs out aborts the sweep with
+    whole; a representative whose search runs out aborts the sweep with
     BudgetExceededError carrying the orbits of the representatives before
-    it in canonical order.  With ``workers`` > 1 representatives are swept
-    in parallel processes, at most one per CPU; the result and the partial
-    one are canonicalized either way, so worker count never changes them.
+    it in canonical order (``partial``) and the representative itself
+    (``candidate``).  A representative covered by a copy found earlier is
+    not searched.  With ``workers`` > 1 representatives are searched ahead
+    in parallel processes, at most one per CPU; the sweep still decides
+    them in order, so worker count changes neither the result nor the
+    partial one (see the module docstring).
     """
     _check_ground(family, max_ground)
     searcher = CopySearch(family.sets, poset)
@@ -236,8 +369,8 @@ def is_saturated(
     one representative, in canonical order, fails to complete a copy.
     ``node_budget`` caps the freeness check and each representative's
     search, not the whole sweep; BudgetExceededError is raised only when
-    freeness is undecided or a representative before the first exception
-    in canonical order runs out, whatever ``workers`` is.
+    freeness is undecided or the search of a representative before the
+    first exception in canonical order runs out, whatever ``workers`` is.
     """
     searcher = CopySearch(family.sets, poset)
     classes = searcher.twin_classes(family.n)  # before the freeness check, which reads them

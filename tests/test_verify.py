@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import all_families, brute_force_has_copy, brute_force_is_saturated
@@ -25,6 +25,8 @@ from posetsat.embed import (
 from posetsat.posetspec import build_poset
 from posetsat.setfam import Family, canonicalize_family, mask_of
 from posetsat.verify import (
+    _OVERRAN,
+    _Certificates,
     _representatives,
     _sweep_chunk,
     exceptions,
@@ -99,7 +101,8 @@ class TestExceptions:
         # searches cannot meet.  The family is saturated, so every
         # representative completes a copy, and an 8-element B3 copy with
         # one pinned element needs at least 7 candidate attempts: a budget
-        # of 5 overruns in any engine.
+        # of 5 overruns in any engine.  No copy has been found before the
+        # first representative, so it is searched and runs out.
         import posetsat.verify as verify_mod
 
         monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
@@ -107,6 +110,8 @@ class TestExceptions:
         with pytest.raises(BudgetExceededError) as err:
             exceptions(family, build_poset("B3"), node_budget=5)
         assert isinstance(err.value.partial, Family)
+        assert len(err.value.partial) == 0
+        assert err.value.candidate == _representatives(twin_classes(family), set(family.sets))[0]
 
     def test_pooled_sweep_attaches_partial_results(self, monkeypatch):
         # As above with two workers, and the same budget for the same
@@ -120,6 +125,8 @@ class TestExceptions:
         with pytest.raises(BudgetExceededError) as err:
             exceptions(family, build_poset("B3"), node_budget=5, workers=2)
         assert isinstance(err.value.partial, Family)
+        assert len(err.value.partial) == 0
+        assert err.value.candidate == _representatives(twin_classes(family), set(family.sets))[0]
 
     def test_workers_do_not_change_output(self):
         family = construct_mc2_binom(7, 1)
@@ -280,7 +287,8 @@ class TestReport:
 
         monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
         # b3(5) is saturated and a pinned B3 copy needs at least 7 candidate
-        # attempts, so a budget of 5 overruns in the sweep in any engine.
+        # attempts, so a budget of 5 overruns in the sweep in any engine, at
+        # its first representative, which no earlier copy can cover.
         report = verification_report(construct_b3(5), "B3", node_budget=5)
         assert report.is_free is True
         assert report.budget_exceeded
@@ -487,8 +495,9 @@ class TestSaturationStopsAtFirstException:
         assert (rank, len(reps)) == (17, 166)
         return family, poset, reps, exc, rank
 
-    def test_searches_representatives_up_to_first_exception(self, monkeypatch, mck_reps):
-        family, poset, reps, _exc, rank = mck_reps
+    @staticmethod
+    def searched(monkeypatch, run):
+        """The subsets ``run`` hands to a pinned search, in order."""
         calls = []
         original = CopySearch.find_containing
 
@@ -497,16 +506,43 @@ class TestSaturationStopsAtFirstException:
             return original(self, g, *args, **kwargs)
 
         monkeypatch.setattr(CopySearch, "find_containing", counting)
-        assert not is_saturated(family, poset)
-        assert calls == reps[: rank + 1]
+        run()
+        return calls
 
-    def test_pool_job_stops_at_first_exception(self, mck_reps):
+    def test_searches_representatives_up_to_first_exception(self, monkeypatch, mck_reps):
+        # The sweep searches in canonical order, stops at the first
+        # exception, and skips only representatives that an earlier copy
+        # covers.  Each skipped one completes a copy: the generic engine
+        # (which runs no chain-engine search and reads no certificate)
+        # names the sets of one, and the brute force confirms they hold a
+        # copy through it.
+        family, poset, reps, _exc, rank = mck_reps
+        calls = self.searched(monkeypatch, lambda: is_saturated(family, poset))
+        ranks = [reps.index(g) for g in calls]
+        assert ranks == sorted(set(ranks)) and ranks[-1] == rank
+        skipped = [g for g in reps[:rank] if g not in calls]
+        assert len(skipped) == 10
+        generic = CopySearch(family.sets, poset, engine="generic")
+        for g in skipped:
+            images = generic.find_containing(g).assignment
+            assert g in images and set(images) <= set(family.sets) | {g}
+            assert brute_force_has_copy(images, poset, require=g)
+
+    def test_pool_job_stops_at_first_exception(self, monkeypatch, mck_reps):
+        # One job over every representative runs the serial sweep's loop:
+        # it searches what the sweep searches, finds a copy exactly for the
+        # non-exceptions, and with ``first`` ends at the first exception.
         family, poset, reps, exc, rank = mck_reps
-        stopped = [True] * rank + [False]
-        every = [g not in exc for g in reps]
-        for first, want in ((True, stopped), (False, every)):
-            job = (family.sets, poset, reps, DEFAULT_NODE_BUDGET, first)
-            assert _sweep_chunk(job) == (want, False)
+        jobs = {
+            first: _sweep_chunk((family.sets, poset, family.n, reps, DEFAULT_NODE_BUDGET, first))
+            for first in (True, False)
+        }
+        for first, sweep in ((True, is_saturated), (False, exceptions)):
+            out = jobs[first]
+            assert list(out) == self.searched(monkeypatch, lambda: sweep(family, poset))
+            assert all((out[g] is None) == (g in exc) for g in out)
+        assert list(jobs[True])[-1] == reps[rank]
+        assert exc <= set(jobs[False])
 
     @settings(deadline=None)
     @given(families(max_n=7, min_n=7), st.sampled_from(SPECS))
@@ -572,7 +608,7 @@ class TestPoolOnTwinFreeFamily:
             with pytest.raises(BudgetExceededError) as err:
                 exceptions(family, poset, node_budget=budget, workers=workers)
             assert isinstance(err.value.partial, Family)
-            partials.append(err.value.partial)
+            partials.append((err.value.partial, err.value.candidate))
         return partials
 
     # The chain engine charges one node per endpoint class it tries for the
@@ -582,25 +618,37 @@ class TestPoolOnTwinFreeFamily:
     # searched within it; for 2C3 at budget 2, {2} to {6} come first with
     # two classes each, and {7} with one, before {1, 3} needs three.  The
     # chain engine finishes the 2C2 sweep within budget 2 and the 2C3 one
-    # within budget 3.
+    # within budget 3.  None of these sweeps finds a copy before it runs
+    # out, so no representative before the overrun is skipped.  C3+C1 and
+    # C4+C1 at budget 4 do skip some: their sweeps, traced representative
+    # by representative, clear 5 and 9 exceptions, each an orbit of one,
+    # skip 5 and 15 representatives that an earlier copy covers, and run
+    # out at {1, 5} and {1, 2, 4}.
 
     def test_pooled_sweep_attaches_partial_results(self, monkeypatch, pool_starts):
-        # The pool stops at its first overrun chunk, so the partial family
-        # holds the orbits before the overrun in canonical order: the serial
-        # one, whatever later chunks would have cleared (54 orbits here).
+        # The sweep raises at the first overrun in canonical order, so the
+        # partial family holds the orbits before it: the serial one,
+        # whatever later chunks would have cleared (54 orbits here).
         pooled, serial = self.pooled_and_serial_partials(monkeypatch, "2C5", 1)
         assert pool_starts == [2]
         assert pooled == serial
-        assert len(serial) == 0
+        assert len(serial[0]) == 0
+        assert serial[1] == mask_of([2], 7)
 
-    @pytest.mark.parametrize("spec,budget,size", [("3C1", 5, 4), ("2C3", 2, 6)])
+    @pytest.mark.parametrize(
+        "spec,budget,size,candidate",
+        [("3C1", 5, 4, [6]), ("2C3", 2, 6, [1, 3]), ("C3+C1", 4, 5, [1, 5]),
+         ("C4+C1", 4, 9, [1, 2, 4])],
+        ids=["3C1-5-4", "2C3-2-6", "C3+C1-4-5", "C4+C1-4-9"],
+    )
     def test_pooled_partial_is_the_serial_one(
-        self, monkeypatch, pool_starts, spec, budget, size
+        self, monkeypatch, pool_starts, spec, budget, size, candidate
     ):
         pooled, serial = self.pooled_and_serial_partials(monkeypatch, spec, budget)
         assert pool_starts == [2]
         assert pooled == serial
-        assert len(serial) == size
+        assert len(serial[0]) == size
+        assert serial[1] == mask_of(candidate, 7)
 
     @pytest.mark.parametrize("spec,want", [("C3+C1", False), ("2C1", True)])
     def test_is_saturated_workers_do_not_change_verdict(self, pool_starts, spec, want):
@@ -634,3 +682,123 @@ class TestPoolOnTwinFreeFamily:
 
         assert outcome(2) == outcome(1) == want
         assert pool_starts == [2]
+
+
+# -- copies the sweep reuses --------------------------------------------------
+
+
+def covered_sets(monkeypatch, run):
+    """The subsets the sweep's certificate store reports as covered while
+    ``run`` runs."""
+    covered = []
+    original = _Certificates.covers
+
+    def recording(self, g):
+        hit = original(self, g)
+        if hit:
+            covered.append(g)
+        return hit
+
+    monkeypatch.setattr(_Certificates, "covers", recording)
+    run()
+    return covered
+
+
+def sweep_outcomes(family, poset, budget, workers):
+    """An exception sweep's result, or its partial result and the subset
+    whose search ran out; the same for ``is_saturated``."""
+    out = []
+    for sweep in (exceptions, is_saturated):
+        try:
+            out.append(sweep(family, poset, node_budget=budget, workers=workers))
+        except BudgetExceededError as err:
+            out.append((err.partial, err.candidate))
+    return out
+
+
+@st.composite
+def free_families(draw, n, specs):
+    """A target and a family over [n] free of it: random subsets, each kept
+    when it completes no copy with those kept before."""
+    poset = build_poset(draw(st.sampled_from(specs)))
+    searcher = CopySearch((), poset)
+    for g in draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=24)):
+        if searcher.find_containing(g) is None:
+            searcher = searcher.with_member(g)
+    return canonicalize_family(searcher.masks, n), poset
+
+
+class TestCertificates:
+    @settings(max_examples=60, deadline=None)
+    @given(families(max_n=5), st.sampled_from(SPECS))
+    def test_covered_sets_complete_a_copy(self, family, spec):
+        # Every set a stored copy covers completes a copy through it, by the
+        # brute force.  B3 has 8 elements, so its families stay at n <= 4.
+        poset = build_poset(spec)
+        assume(not (spec == "B3" and family.n > 4))
+        assume(is_induced_p_free(family, poset))
+        with pytest.MonkeyPatch.context() as mp:
+            covered = covered_sets(mp, lambda: exceptions(family, poset))
+        for g in covered:
+            assert brute_force_has_copy(family.sets + (g,), poset, require=g), (family, g)
+
+    def test_named_sweeps_skip_most_searches(self, monkeypatch):
+        # mck(12,3,3) against 3C3: 68 searches for 2,255 representatives.
+        family, poset = construct_mck(12, 3, 3), build_poset("3C3")
+        covered = covered_sets(monkeypatch, lambda: exceptions(family, poset))
+        assert len(covered) == 2187
+        assert len(_representatives(twin_classes(family), set(family.sets))) == 2255
+
+    def test_store_decides_by_relation(self):
+        # One certificate: need {1}, room {1, 2, 4, 5}, one image {4} apart.
+        # {1, 5} and {1, 2, 5} pass all three checks; {2, 5} fails only
+        # need, {1, 3} only room, and {1, 2, 4} only apart.
+        n = 5
+        store = _Certificates(n)
+        assert not store.covers(mask_of([1, 5], n))
+        store.add((mask_of([1], n), mask_of([1, 2, 4, 5], n), (mask_of([4], n),)))
+        for sets, want in (([1, 5], True), ([1, 2, 5], True), ([2, 5], False),
+                           ([1, 3], False), ([1, 2, 4], False)):
+            assert store.covers(mask_of(sets, n)) is want, sets
+
+    @settings(max_examples=25, deadline=None)
+    @given(free_families(7, SPECS), st.integers(1, 8))
+    def test_workers_do_not_change_result_or_partial(self, family_poset, budget):
+        # Freeness is taken as given so that small budgets reach the sweep.
+        # The sweep only runs with at least 64 representatives, enough for
+        # the pool.
+        import posetsat.verify as verify_mod
+
+        family, poset = family_poset
+        assume(len(_representatives(twin_classes(family), set(family.sets))) >= 64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify_mod, "_is_free", lambda *a, **k: True)
+            mp.setattr(os, "cpu_count", lambda: 2)
+            for b in (budget, DEFAULT_NODE_BUDGET):
+                assert sweep_outcomes(family, poset, b, 2) == sweep_outcomes(family, poset, b, 1)
+
+    def test_chunk_overrun_at_a_covered_set_is_not_the_sweeps(self, monkeypatch):
+        # At budget 6 one pool chunk runs out at a B2 representative that
+        # the sweep itself never searches, because an earlier chunk's copy
+        # covers it: only a search the sweep would run can end it.
+        import posetsat.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        family = canonicalize_family(
+            [10, 34, 40, 7, 13, 42, 50, 56, 69, 112, 43, 46, 57, 77, 120, 107], 7
+        )
+        poset, budget = build_poset("B2"), 6
+        reps = _representatives(twin_classes(family), set(family.sets))
+        step = -(-len(reps) // 8)  # the chunks of a two-worker pool
+        overran = [
+            g
+            for i in range(0, len(reps), step)
+            for g, out in _sweep_chunk((family.sets, poset, 7, reps[i : i + step], budget, False)).items()
+            if out == _OVERRAN
+        ]
+        covered = covered_sets(monkeypatch, lambda: exceptions(family, poset, node_budget=budget))
+        assert set(overran) & set(covered)
+        serial = exceptions(family, poset, node_budget=budget)
+        assert exceptions(family, poset, node_budget=budget, workers=2) == serial
+        assert len(serial) == 78
