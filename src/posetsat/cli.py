@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--require-saturated", action="store_true")
     p.add_argument("--list-exceptions", action="store_true")
     p.add_argument("--lenient", action="store_true", help="merge duplicate input sets")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--max-n", type=int, default=DEFAULT_ENUMERATION_CAP,
                    help="largest ground size the exception sweep will enumerate")
@@ -168,7 +167,6 @@ def _cmd_verify(args) -> int:
         args.poset,
         node_budget=args.node_budget,
         max_ground=args.max_n,
-        workers=args.threads,
     )
     if args.json:
         print(json.dumps(report_to_json(report, args.list_exceptions), indent=1))

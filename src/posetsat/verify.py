@@ -41,28 +41,11 @@ completes a copy, exactly and for any target, and needs no search; any
 other is searched, and a copy found becomes a certificate.  The store is
 indexed by ground element (``_Certificates``), so the certificates whose
 interval admits a set are O(n) bitset ORs away.
-
-The sweep decides every representative in one serial loop, pooled or
-not, so budgets mean the same for any ``workers``.  A pool chunk runs the
-same loop over its own representatives on a store of its own and only
-searches ahead: it returns the outcome of each search it ran (a
-certificate, no copy, or a budget overrun).  When the loop would search a
-representative, it takes the chunk's outcome if the chunk searched that
-one, and otherwise searches it itself.  A pinned search is deterministic
-for the same masks and budget, so the loop searches, stores, raises and
-returns exactly what the serial loop does: the first representative in
-canonical order whose search the loop needs and that runs out of budget
-ends the sweep, with the same ``partial`` and ``candidate``, whatever
-``workers`` is.  A chunk's overrun at a representative the loop covers
-never ends the sweep.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import comb, prod
@@ -78,7 +61,6 @@ from .posetspec import ComparabilityMatrix, build_poset, render_poset_spec
 from .setfam import Family, canonical_key, canonicalize_family
 
 DEFAULT_ENUMERATION_CAP = 16
-POOL_THRESHOLD = 64  # fewer representatives than this are swept serially
 
 
 @dataclass(frozen=True)
@@ -223,98 +205,46 @@ def _certificate(g: int, images: tuple[int, ...]) -> tuple[int, int, tuple[int, 
     return need, room, tuple(apart)
 
 
-_OVERRAN = "overran"  # a string, so a pool worker's outcome still compares equal
-
-
-def _search(searcher: CopySearch, g: int, node_budget: int):
-    """g's pinned search: the certificate of the copy it finds, None when
-    there is none, or ``_OVERRAN`` when the budget runs out first."""
-    try:
-        copy = searcher.find_containing(g, node_budget)
-    except BudgetExceededError:
-        return _OVERRAN
-    return None if copy is None else _certificate(g, copy.assignment)
-
-
-def _sweep_chunk(args) -> dict[int, object]:
-    """Pool job: the sweep's loop over one chunk, on a store of its own.
-    Returns the outcome of each representative it searched (``_search``);
-    ends at an overrun, or with ``first`` at a representative that
-    completes no copy."""
-    masks, poset, n, chunk, node_budget, first = args
-    searcher, store, out = CopySearch(masks, poset), _Certificates(n), {}
-    for g in chunk:
-        if store.covers(g):
-            continue
-        out[g] = outcome = _search(searcher, g, node_budget)
-        if outcome == _OVERRAN or (first and outcome is None):
-            break
-        if outcome is not None:
-            store.add(outcome)
-    return out
-
-
 def _sweep(
-    family: Family, poset: ComparabilityMatrix, searcher: CopySearch, classes: list[int],
-    node_budget: int, workers: int, first: bool = False,
+    family: Family, searcher: CopySearch, classes: list[int], node_budget: int,
 ) -> Iterator[tuple[int, int, bool]]:
     """Yield (representative, orbit size, completes a copy) for each absent
     representative of a family ``searcher`` found free, in canonical order.
 
     A representative covered by a stored certificate completes a copy;
-    any other is searched, and a copy found becomes a certificate.  A pool
-    only searches ahead: this loop decides every representative, and takes
-    a chunk's outcome for a representative it would search itself.  A
+    any other is searched, and a copy found becomes a certificate.  A
     budget overrun raises BudgetExceededError, with ``candidate`` set, at
-    the first representative whose search runs out, pooled or not; a pool
-    cancels the chunks not yet started.  ``first`` lets each pool job stop
-    at its first exception.
+    the first representative whose search runs out.
     """
-    n = family.n
     reps = _representatives(classes, set(family.sets))
     moving = [(cls, cls.bit_count()) for cls in classes if cls & (cls - 1)]
 
     def size(g: int) -> int:
         return prod(comb(k, (g & cls).bit_count()) for cls, k in moving)
 
-    # A forked pool starts all its processes at the first submit.
-    workers = min(workers, os.cpu_count() or 1)
-    pooled = workers > 1 and len(reps) >= POOL_THRESHOLD
-    pool = ProcessPoolExecutor(max_workers=workers) if pooled else None
-    store, ahead = _Certificates(n), []
-    try:
-        if pooled:
-            step = (len(reps) + workers * 4 - 1) // (workers * 4)
-            ahead = [
-                pool.submit(_sweep_chunk, (family.sets, poset, n, reps[i : i + step], node_budget, first))
-                for i in range(0, len(reps), step)
-            ]
-        for i, g in enumerate(reps):
-            if store.covers(g):
-                yield g, size(g), True
-                continue
-            searched = ahead[i // step].result() if ahead else {}
-            outcome = searched[g] if g in searched else _search(searcher, g, node_budget)
-            if outcome == _OVERRAN:
-                raise BudgetExceededError("exception sweep aborted by node budget", candidate=g)
-            if outcome is not None:
-                store.add(outcome)
-            yield g, size(g), outcome is not None
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    store = _Certificates(family.n)
+    for g in reps:
+        if store.covers(g):
+            yield g, size(g), True
+            continue
+        try:
+            copy = searcher.find_containing(g, node_budget)
+        except BudgetExceededError:
+            raise BudgetExceededError("exception sweep aborted by node budget", candidate=g) from None
+        if copy is not None:
+            store.add(_certificate(g, copy.assignment))
+        yield g, size(g), copy is not None
 
 
 def _exceptions(
-    family: Family, poset: ComparabilityMatrix, searcher: CopySearch, classes: list[int],
-    node_budget: int, workers: int,
+    family: Family, searcher: CopySearch, classes: list[int], node_budget: int,
 ) -> Family:
     """Drain the sweep into the union of the orbits of its non-completing
     representatives; a budget overrun carries those swept before it."""
     members = set(family.sets)
     out: list[int] = []
     try:
-        for g, size, completes in _sweep(family, poset, searcher, classes, node_budget, workers):
+        for g, size, completes in _sweep(family, searcher, classes, node_budget):
             if not completes:
                 out += _expand(g, size, classes, members)
     except BudgetExceededError as err:
@@ -342,17 +272,15 @@ def exceptions(
     BudgetExceededError carrying the orbits of the representatives before
     it in canonical order (``partial``) and the representative itself
     (``candidate``).  A representative covered by a copy found earlier is
-    not searched.  With ``workers`` > 1 representatives are searched ahead
-    in parallel processes, at most one per CPU; the sweep still decides
-    them in order, so worker count changes neither the result nor the
-    partial one (see the module docstring).
+    not searched.  ``workers`` is accepted and ignored: the sweep runs in
+    this process.
     """
     _check_ground(family, max_ground)
     searcher = CopySearch(family.sets, poset)
     classes = searcher.twin_classes(family.n)  # before the freeness check, which reads them
     if not _is_free(searcher, node_budget):
         raise ValueError("family already contains an induced copy of the target")
-    return _exceptions(family, poset, searcher, classes, node_budget, workers)
+    return _exceptions(family, searcher, classes, node_budget)
 
 
 def is_saturated(
@@ -361,7 +289,6 @@ def is_saturated(
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
     max_ground: int = DEFAULT_ENUMERATION_CAP,
-    workers: int = 1,
 ) -> bool:
     """Free, and every absent subset completes a copy.
 
@@ -370,15 +297,14 @@ def is_saturated(
     ``node_budget`` caps the freeness check and each representative's
     search, not the whole sweep; BudgetExceededError is raised only when
     freeness is undecided or the search of a representative before the
-    first exception in canonical order runs out, whatever ``workers`` is.
+    first exception in canonical order runs out.
     """
     searcher = CopySearch(family.sets, poset)
     classes = searcher.twin_classes(family.n)  # before the freeness check, which reads them
     if not _is_free(searcher, node_budget):
         return False
     _check_ground(family, max_ground)
-    with closing(_sweep(family, poset, searcher, classes, node_budget, workers, True)) as sweep:
-        return all(completes for _, _, completes in sweep)
+    return all(completes for _, _, completes in _sweep(family, searcher, classes, node_budget))
 
 
 def greedy_saturate(
@@ -410,7 +336,6 @@ def verification_report(
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
     max_ground: int = DEFAULT_ENUMERATION_CAP,
-    workers: int = 1,
 ) -> VerificationReport:
     """Run the freeness check and, on a free family, the exception sweep.
 
@@ -433,7 +358,7 @@ def verification_report(
         return VerificationReport(poset_name, len(family), free, 0, empty, False)
     _check_ground(family, max_ground)
     try:
-        exc = _exceptions(family, poset, searcher, classes, node_budget, workers)
+        exc = _exceptions(family, searcher, classes, node_budget)
     except BudgetExceededError as err:  # _exceptions attaches the partial Family
         return VerificationReport(
             poset_name, len(family), True, len(err.partial), err.partial, True

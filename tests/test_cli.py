@@ -106,17 +106,6 @@ class TestVerify:
         )
         assert code == 3
 
-    def test_threads_do_not_change_output(self, capsys, tmp_path):
-        path = write_family(tmp_path, construct_b3(4))
-        _, out1, _ = run(
-            capsys, "verify", "--family", path, "--poset", "B3", "--json",
-        )
-        _, out2, _ = run(
-            capsys, "verify", "--family", path, "--poset", "B3", "--json",
-            "--threads", "2",
-        )
-        assert out1 == out2
-
     def test_round_trip_with_construct(self, capsys, tmp_path):
         out_path = tmp_path / "b3.json"
         run(capsys, "construct", "--family", "b3", "--n", "5", "--out", str(out_path))

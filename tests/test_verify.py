@@ -1,5 +1,4 @@
 import math
-import os
 import random
 from itertools import combinations
 
@@ -23,12 +22,10 @@ from posetsat.embed import (
     find_induced_copy,
 )
 from posetsat.posetspec import build_poset
-from posetsat.setfam import Family, canonicalize_family, mask_of
+from posetsat.setfam import Family, canonicalize_family, complement_family, mask_of
 from posetsat.verify import (
-    _OVERRAN,
     _Certificates,
     _representatives,
-    _sweep_chunk,
     exceptions,
     greedy_saturate,
     is_induced_p_free,
@@ -114,10 +111,8 @@ class TestExceptions:
         assert err.value.candidate == _representatives(twin_classes(family), set(family.sets))[0]
 
     def test_pooled_sweep_attaches_partial_results(self, monkeypatch):
-        # As above with two workers, and the same budget for the same
-        # reason.  b3(7) has only 13 representatives, too few for the pool,
-        # so this runs serially; the chain-family tests below cover a
-        # pooled abort.
+        # As above on b3(7), passing the ``workers`` keyword that
+        # ``exceptions`` accepts and ignores.
         import posetsat.verify as verify_mod
 
         monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
@@ -459,6 +454,28 @@ class TestReducedSweep:
             return
         assert exceptions(moved, poset) == relabel(exceptions(family, poset), perm)
 
+    @settings(max_examples=100, deadline=None)
+    @given(families(), st.sampled_from(SPECS))
+    def test_complementing_commutes_with_exceptions(self, family, spec):
+        # Complementing reverses inclusion, so for a self-dual target
+        # exceptions(F^c, P) == exceptions(F, P)^c.  A complemented
+        # representative leads no orbit of F^c unless its classes are
+        # singletons, so the two sides search different sets.
+        poset = build_poset(spec)
+        assert poset.spec.is_self_dual()
+        flipped = complement_family(family)
+        if not is_induced_p_free(family, poset):
+            with pytest.raises(ValueError):
+                exceptions(flipped, poset)
+            return
+        assert exceptions(flipped, poset) == complement_family(exceptions(family, poset))
+
+    @pytest.mark.parametrize("family,spec", NAMED)
+    def test_named_complements_commute_with_exceptions(self, family, spec):
+        poset = build_poset(spec)
+        want = complement_family(exceptions(family, poset))
+        assert exceptions(complement_family(family), poset) == want
+
 
 class TestOneFreenessSearch:
     def test_one_find_per_call(self, monkeypatch):
@@ -528,160 +545,75 @@ class TestSaturationStopsAtFirstException:
             assert g in images and set(images) <= set(family.sets) | {g}
             assert brute_force_has_copy(images, poset, require=g)
 
-    def test_pool_job_stops_at_first_exception(self, monkeypatch, mck_reps):
-        # One job over every representative runs the serial sweep's loop:
-        # it searches what the sweep searches, finds a copy exactly for the
-        # non-exceptions, and with ``first`` ends at the first exception.
-        family, poset, reps, exc, rank = mck_reps
-        jobs = {
-            first: _sweep_chunk((family.sets, poset, family.n, reps, DEFAULT_NODE_BUDGET, first))
-            for first in (True, False)
-        }
-        for first, sweep in ((True, is_saturated), (False, exceptions)):
-            out = jobs[first]
-            assert list(out) == self.searched(monkeypatch, lambda: sweep(family, poset))
-            assert all((out[g] is None) == (g in exc) for g in out)
-        assert list(jobs[True])[-1] == reps[rank]
-        assert exc <= set(jobs[False])
-
     @settings(deadline=None)
     @given(families(max_n=7, min_n=7), st.sampled_from(SPECS))
     def test_agrees_with_exception_sweep(self, family, spec):
-        # At n = 7 a family without twins has 64 or more representatives,
-        # enough for the pool.
         poset = build_poset(spec)
         if not is_induced_p_free(family, poset):
-            assert not is_saturated(family, poset, workers=2)
+            assert not is_saturated(family, poset)
             return
-        want = len(exceptions(family, poset)) == 0
-        for workers in (1, 2):
-            assert is_saturated(family, poset, workers=workers) == want
+        assert is_saturated(family, poset) == (len(exceptions(family, poset)) == 0)
 
 
-class TestPoolOnTwinFreeFamily:
+class TestTwinFreeChain:
     # The full chain has only singleton twin classes, so all 120 absent
-    # subsets are representatives: enough to go to the pool.
+    # subsets are representatives.  The freeness check is stubbed in the
+    # budget tests so that small budgets reach the sweep.
+    #
+    # The chain engine charges one node per endpoint class it tries for the
+    # chain through the pinned subset, and two classes of exact reach fit a
+    # 5-chain through {2}: ({}, [4]) and ({2}, [5]).  So at budget 1 the
+    # first representative runs out.  For 2C3 at budget 2, {2} to {6} come
+    # first with two classes each, and {7} with one, before {1, 3} needs
+    # three.  None of these sweeps finds a copy before it runs out, so no
+    # representative before the overrun is skipped.  C3+C1 and C4+C1 at
+    # budget 4 do skip some: their sweeps, traced representative by
+    # representative, clear 5 and 9 exceptions, each an orbit of one, skip
+    # 5 and 15 representatives that an earlier copy covers, and run out at
+    # {1, 5} and {1, 2, 4}.
 
     @pytest.fixture
-    def pool_starts(self, monkeypatch):
+    def unchecked(self, monkeypatch):
         import posetsat.verify as verify_mod
 
-        starts = []
-
-        class RecordingPool(verify_mod.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                starts.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", RecordingPool)
-        # The pool starts at most one process per CPU: pin the count so that
-        # these tests start 2 on any machine.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        return starts
+        monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
 
     def test_chain_is_twin_free(self):
         assert class_sizes(chain_family(7)) == [1] * 7
 
-    def test_workers_do_not_change_output(self, pool_starts):
-        family = chain_family(7)
-        poset = build_poset("C3+C1")
-        pooled = exceptions(family, poset, workers=2)
-        assert pool_starts == [2]
-        assert pooled == exceptions(family, poset)
-        assert len(pooled) == 16
-
-    @pytest.mark.parametrize("cpus,starts", [(2, [2]), (1, []), (None, [])])
-    def test_pool_is_bounded_by_cpu_count(self, monkeypatch, pool_starts, cpus, starts):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        family, poset = chain_family(7), build_poset("C3+C1")
-        assert exceptions(family, poset, workers=3) == exceptions(family, poset)
-        assert pool_starts == starts
-
-    @staticmethod
-    def pooled_and_serial_partials(monkeypatch, spec, budget):
-        import posetsat.verify as verify_mod
-
-        monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
-        family, poset = chain_family(7), build_poset(spec)
-        partials = []
-        for workers in (2, 1):
-            with pytest.raises(BudgetExceededError) as err:
-                exceptions(family, poset, node_budget=budget, workers=workers)
-            assert isinstance(err.value.partial, Family)
-            partials.append((err.value.partial, err.value.candidate))
-        return partials
-
-    # The chain engine charges one node per endpoint class it tries for the
-    # chain through the pinned subset, and two classes of exact reach fit a
-    # 5-chain through {2}: ({}, [4]) and ({2}, [5]).  So at budget 1 the
-    # first representative runs out, while 54 orbits of later chunks are
-    # searched within it; for 2C3 at budget 2, {2} to {6} come first with
-    # two classes each, and {7} with one, before {1, 3} needs three.  The
-    # chain engine finishes the 2C2 sweep within budget 2 and the 2C3 one
-    # within budget 3.  None of these sweeps finds a copy before it runs
-    # out, so no representative before the overrun is skipped.  C3+C1 and
-    # C4+C1 at budget 4 do skip some: their sweeps, traced representative
-    # by representative, clear 5 and 9 exceptions, each an orbit of one,
-    # skip 5 and 15 representatives that an earlier copy covers, and run
-    # out at {1, 5} and {1, 2, 4}.
-
-    def test_pooled_sweep_attaches_partial_results(self, monkeypatch, pool_starts):
-        # The sweep raises at the first overrun in canonical order, so the
-        # partial family holds the orbits before it: the serial one,
-        # whatever later chunks would have cleared (54 orbits here).
-        pooled, serial = self.pooled_and_serial_partials(monkeypatch, "2C5", 1)
-        assert pool_starts == [2]
-        assert pooled == serial
-        assert len(serial[0]) == 0
-        assert serial[1] == mask_of([2], 7)
+    def test_exception_count(self):
+        assert len(exceptions(chain_family(7), build_poset("C3+C1"))) == 16
 
     @pytest.mark.parametrize(
         "spec,budget,size,candidate",
-        [("3C1", 5, 4, [6]), ("2C3", 2, 6, [1, 3]), ("C3+C1", 4, 5, [1, 5]),
-         ("C4+C1", 4, 9, [1, 2, 4])],
-        ids=["3C1-5-4", "2C3-2-6", "C3+C1-4-5", "C4+C1-4-9"],
+        [("2C5", 1, 0, [2]), ("3C1", 5, 4, [6]), ("2C3", 2, 6, [1, 3]),
+         ("C3+C1", 4, 5, [1, 5]), ("C4+C1", 4, 9, [1, 2, 4])],
+        ids=["2C5-1-0", "3C1-5-4", "2C3-2-6", "C3+C1-4-5", "C4+C1-4-9"],
     )
-    def test_pooled_partial_is_the_serial_one(
-        self, monkeypatch, pool_starts, spec, budget, size, candidate
-    ):
-        pooled, serial = self.pooled_and_serial_partials(monkeypatch, spec, budget)
-        assert pool_starts == [2]
-        assert pooled == serial
-        assert len(serial[0]) == size
-        assert serial[1] == mask_of(candidate, 7)
-
-    @pytest.mark.parametrize("spec,want", [("C3+C1", False), ("2C1", True)])
-    def test_is_saturated_workers_do_not_change_verdict(self, pool_starts, spec, want):
-        family, poset = chain_family(7), build_poset(spec)
-        assert is_saturated(family, poset, workers=2) is want
-        assert pool_starts == [2]
-        assert is_saturated(family, poset) is want
+    def test_partial_and_candidate(self, unchecked, spec, budget, size, candidate):
+        # The sweep raises at the first overrun in canonical order, and the
+        # partial family holds the orbits before it.
+        with pytest.raises(BudgetExceededError) as err:
+            exceptions(chain_family(7), build_poset(spec), node_budget=budget)
+        assert isinstance(err.value.partial, Family)
+        assert len(err.value.partial) == size
+        assert err.value.candidate == mask_of(candidate, 7)
 
     @pytest.mark.parametrize(
         "spec,budget,want",
-        [("2C1", 5, True), ("3C1", 5, False), ("2C5", 1, "budget_exceeded")],
-        ids=["2C1-True", "3C1-False", "2C5-budget_exceeded"],
+        [("2C1", 5, True), ("3C1", 5, False), ("2C5", 1, "budget_exceeded"),
+         ("2C1", DEFAULT_NODE_BUDGET, True), ("C3+C1", DEFAULT_NODE_BUDGET, False)],
+        ids=["2C1-5-True", "3C1-5-False", "2C5-1-budget_exceeded", "2C1-full-True",
+             "C3+C1-full-False"],
     )
-    def test_is_saturated_budget_abort_matches_serial(
-        self, monkeypatch, pool_starts, spec, budget, want
-    ):
+    def test_is_saturated_at_budget(self, unchecked, spec, budget, want):
         # The first representative in canonical order that runs out of
-        # budget or fails to complete a copy decides, pooled or not.  For
-        # 2C5 at budget 1 (see above) the first chunk runs out and later
-        # ones hold exceptions searched within the budget.
-        import posetsat.verify as verify_mod
-
-        monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
-        family, poset = chain_family(7), build_poset(spec)
-
-        def outcome(workers):
-            try:
-                return is_saturated(family, poset, node_budget=budget, workers=workers)
-            except BudgetExceededError:
-                return "budget_exceeded"
-
-        assert outcome(2) == outcome(1) == want
-        assert pool_starts == [2]
+        # budget or fails to complete a copy decides.
+        try:
+            got = is_saturated(chain_family(7), build_poset(spec), node_budget=budget)
+        except BudgetExceededError:
+            got = "budget_exceeded"
+        assert got == want
 
 
 # -- copies the sweep reuses --------------------------------------------------
@@ -704,15 +636,22 @@ def covered_sets(monkeypatch, run):
     return covered
 
 
-def sweep_outcomes(family, poset, budget, workers):
-    """An exception sweep's result, or its partial result and the subset
-    whose search ran out; the same for ``is_saturated``."""
-    out = []
-    for sweep in (exceptions, is_saturated):
-        try:
-            out.append(sweep(family, poset, node_budget=budget, workers=workers))
-        except BudgetExceededError as err:
-            out.append((err.partial, err.candidate))
+def sweep_outcome(sweep, family, poset, budget):
+    """(result, None) for a sweep that finishes; (partial result, the subset
+    whose search ran out) for one that runs out of budget."""
+    try:
+        return sweep(family, poset, node_budget=budget), None
+    except BudgetExceededError as err:
+        return err.partial, err.candidate
+
+
+def representative(g, classes):
+    """The first member of g's orbit: the lowest |g & C| elements of each
+    twin class C."""
+    out = 0
+    for cls in classes:
+        bits = [1 << i for i in range(cls.bit_length()) if cls >> i & 1]
+        out |= sum(bits[: (g & cls).bit_count()])
     return out
 
 
@@ -762,43 +701,64 @@ class TestCertificates:
             assert store.covers(mask_of(sets, n)) is want, sets
 
     @settings(max_examples=25, deadline=None)
-    @given(free_families(7, SPECS), st.integers(1, 8))
-    def test_workers_do_not_change_result_or_partial(self, family_poset, budget):
+    @given(free_families(7, SPECS))
+    def test_budget_monotonicity(self, family_poset):
         # Freeness is taken as given so that small budgets reach the sweep.
-        # The sweep only runs with at least 64 representatives, enough for
-        # the pool.
+        # A pinned search is deterministic and a budget only cuts it off, so
+        # a larger budget runs the same loop further: a sweep that finishes
+        # gives the full result, an overrun's partial result is the full one
+        # cut before the candidate's orbit, the candidate only moves later,
+        # and ``is_saturated``, which runs a prefix of the same loop, either
+        # gives the full verdict or runs out at the same candidate.
         import posetsat.verify as verify_mod
 
         family, poset = family_poset
-        assume(len(_representatives(twin_classes(family), set(family.sets))) >= 64)
+        classes = twin_classes(family)
+        reps = _representatives(classes, set(family.sets))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify_mod, "_is_free", lambda *a, **k: True)
-            mp.setattr(os, "cpu_count", lambda: 2)
-            for b in (budget, DEFAULT_NODE_BUDGET):
-                assert sweep_outcomes(family, poset, b, 2) == sweep_outcomes(family, poset, b, 1)
+            full = exceptions(family, poset)
+            saturated = is_saturated(family, poset)
+            reached = 0
+            for budget in range(1, 9):
+                got, candidate = sweep_outcome(exceptions, family, poset, budget)
+                verdict, stopped_at = sweep_outcome(is_saturated, family, poset, budget)
+                if stopped_at is None:
+                    assert verdict is saturated
+                else:
+                    assert stopped_at == candidate
+                if candidate is None:
+                    assert got == full
+                    reached = len(reps)
+                    continue
+                rank = reps.index(candidate)
+                assert rank >= reached
+                reached = rank
+                before = set(reps[:rank])
+                want = [g for g in full.sets if representative(g, classes) in before]
+                assert got == canonicalize_family(want, family.n)
 
-    def test_chunk_overrun_at_a_covered_set_is_not_the_sweeps(self, monkeypatch):
-        # At budget 6 one pool chunk runs out at a B2 representative that
-        # the sweep itself never searches, because an earlier chunk's copy
-        # covers it: only a search the sweep would run can end it.
+    def test_covered_sets_spend_no_budget(self, monkeypatch):
+        # At budget 6 the B2 sweep of this family finishes with all 78
+        # exceptions, though three of the sets that earlier copies cover
+        # would run out of budget if searched: a covered set is never
+        # searched, so it cannot end the sweep.
         import posetsat.verify as verify_mod
 
         monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         family = canonicalize_family(
             [10, 34, 40, 7, 13, 42, 50, 56, 69, 112, 43, 46, 57, 77, 120, 107], 7
         )
         poset, budget = build_poset("B2"), 6
-        reps = _representatives(twin_classes(family), set(family.sets))
-        step = -(-len(reps) // 8)  # the chunks of a two-worker pool
-        overran = [
-            g
-            for i in range(0, len(reps), step)
-            for g, out in _sweep_chunk((family.sets, poset, 7, reps[i : i + step], budget, False)).items()
-            if out == _OVERRAN
-        ]
         covered = covered_sets(monkeypatch, lambda: exceptions(family, poset, node_budget=budget))
-        assert set(overran) & set(covered)
-        serial = exceptions(family, poset, node_budget=budget)
-        assert exceptions(family, poset, node_budget=budget, workers=2) == serial
-        assert len(serial) == 78
+        searcher = CopySearch(family.sets, poset)
+        overran = []
+        for g in covered:
+            try:
+                searcher.find_containing(g, budget)
+            except BudgetExceededError:
+                overran.append(g)
+        assert len(overran) == 3
+        got = exceptions(family, poset, node_budget=budget)
+        assert got == exceptions(family, poset)
+        assert len(got) == 78
