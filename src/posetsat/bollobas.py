@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .embed import Embedding, verify_embedding
 from .setfam import (
+    MAX_GROUND,
     Family,
     elements_of,
     full_mask,
@@ -167,8 +168,8 @@ def pair_system_from_json(doc: object) -> SetPairSystem:
     if not isinstance(doc, dict) or "n" not in doc or "pairs" not in doc:
         raise PairSystemError('pair-system document needs "n" and "pairs"')
     n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 64:
-        raise PairSystemError('"n" must be an integer in [1, 64]')
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_GROUND:
+        raise PairSystemError(f'"n" must be an integer in [1, {MAX_GROUND}]')
     pairs = []
     raw = doc["pairs"]
     if not isinstance(raw, list):

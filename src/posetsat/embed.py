@@ -36,11 +36,12 @@ sets.  Two engines implement the search behind one interface:
   This is what makes exhaustive negative verdicts (freeness proofs,
   exception sweeps) fast on families full of long chains.
 
-Both engines read one containment index of the family (up, down and
-incomparable rows as bitsets over family indices), built by one pairwise
-pass; adding a member grows it in O(|F|).  The index also keeps one column
-per ground element, so a new set's relation to every member is O(n)
-column reads, and the family's twin classes, computed once.
+Both engines read one containment index of the family: for each member,
+the members above it and those below it, as bitsets over family indices
+(the rest are apart), and for each ground element, the members that hold
+it, so a new set's relation to every member is O(n) column reads.  One
+pass over the pairs builds it, adding a member grows it in O(|F|), and it
+keeps the family's twin classes, computed once.
 
 Chains of equal length are interchangeable.  The chain engine picks their
 interval nodes in ascending order, which removes a factorial blowup
@@ -107,16 +108,17 @@ class WitnessMatrix:
 
 
 class _FamilyIndex:
-    """Pairwise containment structure of distinct masks, as index bitsets.
+    """Containment index of distinct masks: two rows and the element columns.
 
-    ``up[i]`` holds j iff masks[i] is a proper subset of masks[j]; ``down``
-    and ``inc`` are the mirror and the incomparable set.  Both engines read
-    it: the generic one all three rows, the chain engine ``up`` and
-    ``down``.  Its columns (``columns``) read the members below and above
-    any set.
+    ``up[i]`` holds j iff masks[i] is a proper subset of masks[j], and
+    ``down[i]`` the mirror; members are distinct, so the members apart
+    from i are the rest, less i itself.  ``cols[e]`` holds the members that
+    contain ground element e, so the members below and above any set are
+    O(n) column reads.  All three are built in one pass over the pairs and
+    grown in O(|F|) by ``extended``.
     """
 
-    __slots__ = ("masks", "up", "down", "inc", "all_bits", "_cols", "_twins")
+    __slots__ = ("masks", "up", "down", "cols", "all_bits", "_twins")
 
     def __init__(self, masks: tuple[int, ...], _rows=None):
         self.masks = masks
@@ -124,13 +126,17 @@ class _FamilyIndex:
         self.all_bits = (1 << nf) - 1
         self._twins: tuple[int, list[int]] | None = None
         if _rows is not None:
-            self.up, self.down, self.inc, self._cols = _rows
+            self.up, self.down, self.cols = _rows
             return
-        self._cols: list[int] | None = None
         up = [0] * nf
         down = [0] * nf
+        cols = [0] * max(masks, default=0).bit_length()
         for i in range(nf):
-            a = masks[i]
+            a = rest = masks[i]
+            while rest:
+                low = rest & -rest
+                cols[low.bit_length() - 1] |= 1 << i
+                rest ^= low
             for j in range(i + 1, nf):
                 b = masks[j]
                 if a & b == a:
@@ -139,27 +145,7 @@ class _FamilyIndex:
                 elif a & b == b:
                     down[i] |= 1 << j
                     up[j] |= 1 << i
-        self.up, self.down = up, down
-        # Members are distinct, so whatever is neither above nor below is apart.
-        self.inc = [self.all_bits & ~(u | d | 1 << i) for i, (u, d) in enumerate(zip(up, down))]
-
-    def columns(self) -> list[int]:
-        """``cols[e]``: the members that contain ground element e.
-
-        Built on first use: a search for any copy on the generic engine
-        never reads them.
-        """
-        if self._cols is None:
-            cols = [0] * max((m.bit_length() for m in self.masks), default=0)
-            bit = 1
-            for m in self.masks:
-                while m:
-                    low = m & -m
-                    cols[low.bit_length() - 1] |= bit
-                    m ^= low
-                bit <<= 1
-            self._cols = cols
-        return self._cols
+        self.up, self.down, self.cols = up, down, cols
 
     def relation_to(self, g: int) -> tuple[int, int]:
         """Bitsets of the members strictly below g and strictly above g.
@@ -169,7 +155,7 @@ class _FamilyIndex:
         Raises ValueError if g is already a member.
         """
         above, outside, rest = self.all_bits, 0, g
-        for col in self.columns():
+        for col in self.cols:
             if rest & 1:
                 above &= col
             else:
@@ -185,25 +171,22 @@ class _FamilyIndex:
     def extended(self, g: int) -> "_FamilyIndex":
         """Index for masks + (g,); raises ValueError if g is a member."""
         below, above = self.relation_to(g)
-        apart = self.all_bits & ~below & ~above
         bit = 1 << len(self.masks)
-        up, down, inc = self.up[:], self.down[:], self.inc[:]
-        for row, sel in ((up, below), (down, above), (inc, apart)):
+        up, down = self.up[:], self.down[:]
+        for row, sel in ((up, below), (down, above)):
             while sel:
                 low = sel & -sel
                 sel ^= low
                 row[low.bit_length() - 1] |= bit
         up.append(above)
         down.append(below)
-        inc.append(apart)
-        cols = self.columns()
-        cols = cols + [0] * (g.bit_length() - len(cols))
+        cols = self.cols + [0] * (g.bit_length() - len(self.cols))
         rest = g
         while rest:
             low = rest & -rest
             cols[low.bit_length() - 1] |= bit
             rest ^= low
-        return _FamilyIndex(self.masks + (g,), _rows=(up, down, inc, cols))
+        return _FamilyIndex(self.masks + (g,), _rows=(up, down, cols))
 
     def twin_classes(self, n: int | None = None) -> list[int]:
         """Masks of the twin classes of [n], ordered by their lowest element.
@@ -225,11 +208,10 @@ class _FamilyIndex:
         twins = self._twins
         if twins is not None and n in (None, twins[0]):
             return twins[1]
-        cols = self.columns()
         if n is None:
-            n = len(cols)
+            n = len(self.cols)
         masks, members = self.masks, set(self.masks)
-        cols = cols + [0] * (n - len(cols))
+        cols = self.cols + [0] * (n - len(self.cols))
         classes: list[int] = []
         for i in range(n):
             col = cols[i]
@@ -286,15 +268,13 @@ class _SearchPlan:
         elements above it has at least a members above it in the family,
         and likewise below and apart.
         """
-        degrees = [
-            (u.bit_count(), d.bit_count(), i.bit_count())
-            for u, d, i in zip(index.up, index.down, index.inc)
-        ]
+        others = len(index.masks) - 1  # every other member is above, below or apart
+        degrees = [(u.bit_count(), d.bit_count()) for u, d in zip(index.up, index.down)]
         out = [0] * self.size
         for (above, below, apart), positions in self.profiles.items():
             dom = 0
-            for j, (u, d, i) in enumerate(degrees):
-                if u >= above and d >= below and i >= apart:
+            for j, (u, d) in enumerate(degrees):
+                if u >= above and d >= below and others - u - d >= apart:
                     dom |= 1 << j
             for pos in _bits(positions):
                 out[pos] = dom
@@ -313,14 +293,16 @@ def _run(
     a pinned position gets a one-member domain.  The unplaced position with
     the smallest domain goes next, so an empty domain ends the search before
     any candidate is tried.  Placing an image ANDs the index row of its
-    relation into the domain of every unplaced position: the domains stay
-    exact for everything placed, and an image that empties one is rejected
-    at once.  No row holds its own member, so images stay distinct.
+    relation into the domain of every unplaced position (the apart row is
+    every member neither above nor below the image, nor the image itself):
+    the domains stay exact for everything placed, and an image that empties
+    one is rejected at once.  No row holds its own member, so images stay
+    distinct.
     ``budget`` is a one-element list decremented per candidate tried,
     shared across passes.
     """
     rel = plan.rel
-    up, down, inc = index.up, index.down, index.inc
+    up, down, all_bits = index.up, index.down, index.all_bits
     assigned = [-1] * plan.size
     left = budget[0]
 
@@ -339,7 +321,8 @@ def _run(
             if not free:
                 assigned[pos] = idx
                 return True
-            rows = (up[idx], down[idx], inc[idx])  # indexed by _LT, _GT, _INC
+            u, d = up[idx], down[idx]
+            rows = (u, d, all_bits & ~(u | d | low))  # indexed by _LT, _GT, _INC
             nxt = doms[:]
             best = -1
             for q in free:

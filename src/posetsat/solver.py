@@ -30,10 +30,16 @@ from dataclasses import dataclass
 from itertools import chain, permutations, repeat
 from operator import add, lt
 
-from .embed import DEFAULT_NODE_BUDGET, BudgetExceededError, CopySearch
+from .embed import BudgetExceededError, CopySearch
 from .posetspec import ComparabilityMatrix
 from .setfam import Family, canonical_key, family_to_json
-from .verify import exceptions, greedy_saturate, is_induced_p_free, is_saturated
+from .verify import (
+    DEFAULT_ENUMERATION_CAP,
+    exceptions,
+    greedy_saturate,
+    is_induced_p_free,
+    is_saturated,
+)
 
 DEFAULT_SOLVER_BUDGET = 5_000_000
 # Ground elements the orderly filter permutes: all of them up to n = 6, the
@@ -108,20 +114,21 @@ def sat_star_exact(
     poset: ComparabilityMatrix,
     *,
     node_budget: int = DEFAULT_SOLVER_BUDGET,
-    inner_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SolveResult:
     """Minimum size of an induced-saturated family over [n] for the target.
 
-    ``node_budget`` caps prefix extensions tried by the outer search;
-    ``inner_budget`` caps each embedded copy search.  Exact results carry a
-    witness family that is re-verified (free and exception-free) before
-    being returned.
+    ``node_budget`` caps prefix extensions tried by the outer search; each
+    embedded copy search gets the default ``DEFAULT_NODE_BUDGET``.  Exact
+    results carry a witness family that is re-verified (free and
+    exception-free) before being returned.
     """
-    if n > 16:
-        raise ValueError("saturation checks enumerate 2^n subsets; n <= 16 only")
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(
+            f"saturation checks enumerate 2^n subsets; n <= {DEFAULT_ENUMERATION_CAP} only"
+        )
     try:
         # A saturated family, greedily completed from the empty one.
-        incumbent = greedy_saturate(Family(n, ()), poset, node_budget=inner_budget)
+        incumbent = greedy_saturate(Family(n, ()), poset)
     except BudgetExceededError:
         return SolveResult("budget_exceeded", None, None, 0)
 
@@ -131,7 +138,7 @@ def sat_star_exact(
 
     def saturated(masks: tuple[int, ...]) -> bool:
         # Stops at the first exception; the witness below gets the full sweep.
-        return is_saturated(Family(n, masks), poset, node_budget=inner_budget)
+        return is_saturated(Family(n, masks), poset)
 
     def dfs(start: int, search: CopySearch, left: int):
         nonlocal nodes
@@ -142,7 +149,7 @@ def sat_star_exact(
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceededError("solver node budget exceeded")
-            if search.find_containing(g, inner_budget) is not None:
+            if search.find_containing(g) is not None:
                 continue  # prefix would already contain a copy
             if not group.is_least(search.masks + (g,)):
                 continue  # another member of the prefix's orbit comes first
@@ -159,9 +166,9 @@ def sat_star_exact(
             found = dfs(0, CopySearch((), poset, engine="generic"), size)
             if found is not None:
                 witness = Family(n, found)
-                if not is_induced_p_free(witness, poset, node_budget=inner_budget):
+                if not is_induced_p_free(witness, poset):
                     raise AssertionError("solver witness contains a copy of the target")
-                if len(exceptions(witness, poset, node_budget=inner_budget)) != 0:
+                if len(exceptions(witness, poset)) != 0:
                     raise AssertionError("solver witness is not saturated")
                 return SolveResult("exact", size, witness, nodes)
     except BudgetExceededError:

@@ -48,7 +48,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from math import comb, prod
+from math import comb
 from operator import or_
 
 from .embed import (
@@ -123,16 +123,18 @@ def _representatives(classes: list[int], members: set[int]) -> list[int]:
     return sorted((g for g in reps if g not in members), key=canonical_key)
 
 
-def _expand(rep: int, size: int, classes: list[int], members: set[int]) -> list[int]:
+def _expand(rep: int, classes: list[int], members: set[int]) -> list[int]:
     """The orbit of an absent representative: every subset meeting each class
-    in as many elements as ``rep``, with ``rep`` first, checked against the
-    orbit ``size`` the sweep computed."""
-    orbit = [rep]
+    in as many elements as ``rep``, with ``rep`` first, checked to have the
+    product of C(|C|, |rep ∩ C|) members."""
+    orbit, size = [rep], 1
     for cls in classes:
         if not cls & (cls - 1):
             continue  # a one-element class leaves rep as it is
-        choices = [sum(c) for c in combinations(_singletons(cls), (rep & cls).bit_count())]
+        k = (rep & cls).bit_count()
+        choices = [sum(c) for c in combinations(_singletons(cls), k)]
         orbit = [g & ~cls | c for g in orbit for c in choices]
+        size *= comb(cls.bit_count(), k)
     if orbit[0] != rep or len(orbit) != size or any(g in members for g in orbit):
         raise AssertionError(
             f"orbit of representative {rep:#x} is not led by it, does not have "
@@ -207,33 +209,27 @@ def _certificate(g: int, images: tuple[int, ...]) -> tuple[int, int, tuple[int, 
 
 def _sweep(
     family: Family, searcher: CopySearch, classes: list[int], node_budget: int,
-) -> Iterator[tuple[int, int, bool]]:
-    """Yield (representative, orbit size, completes a copy) for each absent
-    representative of a family ``searcher`` found free, in canonical order.
+) -> Iterator[int]:
+    """Yield the absent representatives of a family ``searcher`` found free
+    that complete no copy, in canonical order.
 
     A representative covered by a stored certificate completes a copy;
     any other is searched, and a copy found becomes a certificate.  A
     budget overrun raises BudgetExceededError, with ``candidate`` set, at
     the first representative whose search runs out.
     """
-    reps = _representatives(classes, set(family.sets))
-    moving = [(cls, cls.bit_count()) for cls in classes if cls & (cls - 1)]
-
-    def size(g: int) -> int:
-        return prod(comb(k, (g & cls).bit_count()) for cls, k in moving)
-
     store = _Certificates(family.n)
-    for g in reps:
+    for g in _representatives(classes, set(family.sets)):
         if store.covers(g):
-            yield g, size(g), True
             continue
         try:
             copy = searcher.find_containing(g, node_budget)
         except BudgetExceededError:
             raise BudgetExceededError("exception sweep aborted by node budget", candidate=g) from None
-        if copy is not None:
+        if copy is None:
+            yield g
+        else:
             store.add(_certificate(g, copy.assignment))
-        yield g, size(g), copy is not None
 
 
 def _exceptions(
@@ -244,9 +240,8 @@ def _exceptions(
     members = set(family.sets)
     out: list[int] = []
     try:
-        for g, size, completes in _sweep(family, searcher, classes, node_budget):
-            if not completes:
-                out += _expand(g, size, classes, members)
+        for g in _sweep(family, searcher, classes, node_budget):
+            out += _expand(g, classes, members)
     except BudgetExceededError as err:
         err.partial = canonicalize_family(out, family.n)
         raise
@@ -304,7 +299,7 @@ def is_saturated(
     if not _is_free(searcher, node_budget):
         return False
     _check_ground(family, max_ground)
-    return all(completes for _, _, completes in _sweep(family, searcher, classes, node_budget))
+    return next(_sweep(family, searcher, classes, node_budget), None) is None
 
 
 def greedy_saturate(

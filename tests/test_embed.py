@@ -18,6 +18,7 @@ from posetsat.embed import (
     BudgetExceededError,
     CopySearch,
     _ChainEngine,
+    _FamilyIndex,
     Embedding,
     embedding_to_json,
     find_induced_copy,
@@ -516,6 +517,81 @@ def test_find_verdict_survives_relabelling(family, spec, data):
         return CopySearch(masks, poset, engine="chains").find() is None
 
     assert free(image) == free(family.sets)
+
+
+@st.composite
+def index_families(draw):
+    """Distinct masks over [n], n <= 7, in any order: the index must not
+    lean on canonical order."""
+    n = draw(st.integers(1, 7))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=20, unique=True))
+    return n, tuple(draw(st.permutations(masks)))
+
+
+@settings(deadline=None)
+@given(index_families())
+def test_family_index_matches_brute_force(case):
+    n, masks = case
+    index = _FamilyIndex(masks)
+
+    def members(pred):
+        return sum(1 << j for j, m in enumerate(masks) if pred(m))
+
+    for i, a in enumerate(masks):
+        assert index.up[i] == members(lambda m: m != a and a & m == a)
+        assert index.down[i] == members(lambda m: m != a and a & m == m)
+        # The apart row the generic engine derives from the two it keeps.
+        apart = index.all_bits & ~(index.up[i] | index.down[i] | 1 << i)
+        assert apart == members(lambda m: a & m not in (a, m))
+    assert len(index.cols) <= n
+    for e in range(n):
+        col = index.cols[e] if e < len(index.cols) else 0
+        assert col == members(lambda m: m >> e & 1)
+    before = (index.up[:], index.down[:], index.cols[:])
+    for g in range(1 << n):
+        if g in masks:
+            with pytest.raises(ValueError):
+                index.relation_to(g)
+            with pytest.raises(ValueError):
+                index.extended(g)
+            continue
+        assert index.relation_to(g) == (members(lambda m: m & g == m), members(lambda m: m & g == g))
+        grown, fresh = index.extended(g), _FamilyIndex(masks + (g,))
+        assert grown.masks == fresh.masks
+        assert grown.all_bits == fresh.all_bits
+        assert grown.up == fresh.up
+        assert grown.down == fresh.down
+        assert grown.cols == fresh.cols
+        assert grown.twin_classes(n) == fresh.twin_classes(n)
+    assert (index.up, index.down, index.cols) == before  # growing copies the rows
+
+
+SEED_SPECS = ["C2", "C3", "2C1", "2C2", "C2+C1", "3C1", "C3+C1", "B2"]
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.integers(0, (1 << n) - 1), max_size=14).map(
+            lambda masks: canonicalize_family(masks, n))),
+    st.sampled_from(SEED_SPECS),
+    st.integers(1, 2**32),
+    st.data(),
+)
+def test_order_seed_never_changes_a_verdict(family, spec, seed, data):
+    # Shuffling the member order samples other copies, never another verdict,
+    # with or without a required member.
+    poset = build_poset(spec)
+    requires = [None]
+    if family.sets:
+        requires.append(data.draw(st.sampled_from(family.sets)))
+    for require in requires:
+        base = find_induced_copy(family, poset, require=require)
+        emb = find_induced_copy(family, poset, require=require, order_seed=seed)
+        assert (emb is None) == (base is None)
+        if emb is not None:
+            assert verify_embedding(family, poset, emb)
+            assert require is None or require in emb.assignment
 
 
 def _verdicts(cases):

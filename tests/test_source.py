@@ -1,0 +1,20 @@
+"""Rules on the package source that a test can hold."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "posetsat"
+
+
+def test_source_has_no_assert_statements():
+    # python -O strips assert statements, and every check in the package
+    # must still run there: raise instead.
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, SRC
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in the package: {found}"
