@@ -39,9 +39,9 @@ sets.  Two engines implement the search behind one interface:
 Both engines read one containment index of the family: for each member,
 the members above it and those below it, as bitsets over family indices
 (the rest are apart), and for each ground element, the members that hold
-it, so a new set's relation to every member is O(n) column reads.  One
-pass over the pairs builds it, adding a member grows it in O(|F|), and it
-keeps the family's twin classes, computed once.
+it, so a new set's relation to every member is O(n) column reads.  It is
+built by adding the members in turn, each in O(|F|), the way a searcher
+grows by a member, and it keeps the family's twin classes, computed once.
 
 Chains of equal length are interchangeable.  The chain engine picks their
 interval nodes in ascending order, which removes a factorial blowup
@@ -114,38 +114,22 @@ class _FamilyIndex:
     ``down[i]`` the mirror; members are distinct, so the members apart
     from i are the rest, less i itself.  ``cols[e]`` holds the members that
     contain ground element e, so the members below and above any set are
-    O(n) column reads.  All three are built in one pass over the pairs and
-    grown in O(|F|) by ``extended``.
+    O(n) column reads.  One step, ``_add``, grows all three by a member:
+    the constructor adds the members in turn, and ``extended`` adds one to
+    copies.  A member given twice raises ValueError.
     """
 
     __slots__ = ("masks", "up", "down", "cols", "all_bits", "_twins")
 
-    def __init__(self, masks: tuple[int, ...], _rows=None):
-        self.masks = masks
-        nf = len(masks)
-        self.all_bits = (1 << nf) - 1
+    def __init__(self, masks: tuple[int, ...]):
+        self.masks: tuple[int, ...] = ()
+        self.up: list[int] = []
+        self.down: list[int] = []
+        self.cols: list[int] = []
+        self.all_bits = 0
         self._twins: tuple[int, list[int]] | None = None
-        if _rows is not None:
-            self.up, self.down, self.cols = _rows
-            return
-        up = [0] * nf
-        down = [0] * nf
-        cols = [0] * max(masks, default=0).bit_length()
-        for i in range(nf):
-            a = rest = masks[i]
-            while rest:
-                low = rest & -rest
-                cols[low.bit_length() - 1] |= 1 << i
-                rest ^= low
-            for j in range(i + 1, nf):
-                b = masks[j]
-                if a & b == a:
-                    up[i] |= 1 << j
-                    down[j] |= 1 << i
-                elif a & b == b:
-                    down[i] |= 1 << j
-                    up[j] |= 1 << i
-        self.up, self.down, self.cols = up, down, cols
+        for g in masks:
+            self._add(g)
 
     def relation_to(self, g: int) -> tuple[int, int]:
         """Bitsets of the members strictly below g and strictly above g.
@@ -168,25 +152,36 @@ class _FamilyIndex:
             raise ValueError(f"{g:#x} is already a member of the family")
         return below, above
 
-    def extended(self, g: int) -> "_FamilyIndex":
-        """Index for masks + (g,); raises ValueError if g is a member."""
+    def _add(self, g: int) -> None:
+        """Grow the index by member g in place: g's relations are O(n)
+        column reads, then g's bit goes into each related row and each
+        column of an element of g.  Raises ValueError if g is a member."""
         below, above = self.relation_to(g)
         bit = 1 << len(self.masks)
-        up, down = self.up[:], self.down[:]
-        for row, sel in ((up, below), (down, above)):
+        for row, sel in ((self.up, below), (self.down, above)):
             while sel:
                 low = sel & -sel
                 sel ^= low
                 row[low.bit_length() - 1] |= bit
-        up.append(above)
-        down.append(below)
-        cols = self.cols + [0] * (g.bit_length() - len(self.cols))
+        self.up.append(above)
+        self.down.append(below)
+        cols = self.cols
+        cols.extend([0] * (g.bit_length() - len(cols)))
         rest = g
         while rest:
             low = rest & -rest
             cols[low.bit_length() - 1] |= bit
             rest ^= low
-        return _FamilyIndex(self.masks + (g,), _rows=(up, down, cols))
+        self.masks += (g,)
+        self.all_bits |= bit
+
+    def extended(self, g: int) -> "_FamilyIndex":
+        """Index for masks + (g,); raises ValueError if g is a member."""
+        out = object.__new__(_FamilyIndex)
+        out.masks, out.all_bits, out._twins = self.masks, self.all_bits, None
+        out.up, out.down, out.cols = self.up[:], self.down[:], self.cols[:]
+        out._add(g)
+        return out
 
     def twin_classes(self, n: int | None = None) -> list[int]:
         """Masks of the twin classes of [n], ordered by their lowest element.
@@ -374,7 +369,6 @@ class _ChainEngine:
         "by_bottom",
         "by_top",
         "adj",
-        "plans",
     )
 
     # Above this many interval nodes the generic engine takes over.  The
@@ -413,7 +407,6 @@ class _ChainEngine:
             )
         self.nodes = nodes
         self.all_nodes = (1 << len(nodes)) - 1
-        self.len_ok = self._length_masks(tops_of, want_single, pair_lengths)
 
         # nb[x]: nodes whose bottom fits inside member x;
         # nt[x]: nodes whose top contains member x.
@@ -424,59 +417,33 @@ class _ChainEngine:
             by_top[ti] |= 1 << c
         self.by_bottom = by_bottom
         self.by_top = by_top
+        self.len_ok = self._length_masks(tops_of, pair_lengths)
         self.nb = [_gather(by_bottom, down[x] | 1 << x) for x in range(nf)]
         self.nt = [_gather(by_top, up[x] | 1 << x) for x in range(nf)]
         # Compatibility rows keep the inner search at one AND per node: a
         # node is compatible when neither chain's bottom fits in the other's top.
         self.adj = [self.all_nodes & ~self.nb[t] & ~self.nt[b] for b, t in nodes]
-        self.plans = {}
 
-    def _length_masks(self, tops_of: list[int], want_single: bool, pair_lengths: list[int]):
+    def _length_masks(self, tops_of: list[int], pair_lengths: list[int]):
         """``len_ok[L]``: the nodes that can host a chain of L sets.
 
-        Every pair node hosts the shortest pair length.  A pair node (b, t)
-        hosts a longer L when t lies in level L - 2 above b; ``tops_of[b]``
-        is the shortest pair length's level, the tops of b's nodes, and each
-        longer length climbs on from the last.
+        The singletons, the nodes (b, b), host 1, and every other node the
+        shortest pair length.  A pair node (b, t) hosts a longer L when t
+        lies in level L - 2 above b; ``tops_of[b]`` is the shortest pair
+        length's level, and each longer length climbs on from the last.
         """
-        up = self.index.up
-        longer = pair_lengths[1:]
-        climbs = [b - a for a, b in zip(pair_lengths, longer)]
-        len_ok = dict.fromkeys(longer, 0)
-        singles = c = 0
-        for tops in tops_of:
-            if want_single:
-                singles |= 1 << c
-                c += 1
-            level = tops
-            for length, climb in zip(longer, climbs):
-                level = _climb(up, level, climb)
-                len_ok[length] |= sum(1 << i for i, t in enumerate(_bits(tops)) if level >> t & 1) << c
-            c += tops.bit_count()
-        if want_single:
-            len_ok[1] = singles
+        up, by_bottom, by_top = self.index.up, self.by_bottom, self.by_top
+        singles = 0
+        for b, row in enumerate(by_bottom):
+            singles |= row & by_top[b]
+        len_ok = {1: singles, **dict.fromkeys(pair_lengths[1:], 0)}
         if pair_lengths:
             len_ok[pair_lengths[0]] = self.all_nodes & ~singles
+        for b, level in enumerate(tops_of):
+            for shorter, length in zip(pair_lengths, pair_lengths[1:]):
+                level = _climb(up, level, length - shorter)
+                len_ok[length] |= by_bottom[b] & _gather(by_top, level)
         return len_ok
-
-    def _slot_plan(self, slots: list[int]):
-        """Per-depth data for ``_solve`` over one ascending slots list, built
-        once.
-
-        ``ok[d]`` holds the nodes that can host slot d; ``ascending[d]``
-        says slot d has the length of slot d - 1; ``uniform[d]`` says every
-        slot from d on has slot d's length, that is, the last slot's.
-        """
-        key = tuple(slots)
-        plan = self.plans.get(key)
-        if plan is None:
-            plan = (
-                [self.len_ok[length] for length in slots],
-                [d > 0 and slots[d] == slots[d - 1] for d in range(len(slots))],
-                [length == slots[-1] for length in slots],
-            )
-            self.plans[key] = plan
-        return plan
 
     def _solve(self, slots: list[int], cand: int, budget: list[int], first: int = -1):
         """Pick one compatible node per slot; returns chosen node ids or None.
@@ -509,7 +476,7 @@ class _ChainEngine:
         total = len(slots)
         if total == 0:
             return []
-        ok, ascending, uniform = self._slot_plan(slots)
+        ok = [self.len_ok[length] for length in slots]
         adj = self.adj
         chosen = [0] * total
         avail = [0] * total
@@ -537,13 +504,13 @@ class _ChainEngine:
                 return chosen
             nxt = cand_stack[depth] & adj[v]
             a = nxt & ok[step]
-            if ascending[step]:
+            if slots[step] == slots[depth]:
                 a &= -1 << (v + 1)  # equal chains in ascending node order
             if not a:
                 continue
             need = total - step  # slots left; the colouring counts its classes off
             if need > 1:
-                pool = a if uniform[step] else nxt & ok[step]
+                pool = a if slots[step] == slots[-1] else nxt & ok[step]
                 while pool:
                     need -= 1
                     if not need:
@@ -774,7 +741,7 @@ class CopySearch:
     ``_ChainEngine.MAX_NODES`` interval nodes and the generic backtracker
     otherwise; ``engine`` forces the choice for cross-checks, and a forced
     chain engine past that cap raises ValueError.  Both engines read one
-    containment index of the family.
+    containment index of the family; a repeated mask raises ValueError.
     """
 
     def __init__(

@@ -8,6 +8,7 @@ Slow but obviously correct; keep them that way.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations
 
 from posetsat.posetspec import ComparabilityMatrix
@@ -141,3 +142,19 @@ def brute_force_chains_through(masks, g: int):
 
     uppers = list(up(g))
     return [lower + upper[1:] for lower in down(g) for upper in uppers]
+
+
+def brute_force_longest_chain(masks, bottom: int, top: int) -> int:
+    """Sets on the longest chain of masks from bottom up to top, both ends
+    included, found by following proper inclusions up from bottom; 0 when
+    top does not contain bottom.  Both ends must be members."""
+
+    @cache
+    def longest(x):
+        if x == top:
+            return 1
+        if x & top != x:
+            return 0
+        return 1 + max(longest(m) for m in masks if m != x and m & x == x and m & top == m)
+
+    return longest(bottom)

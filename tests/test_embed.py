@@ -5,7 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import all_families, brute_force_chains_through, brute_force_has_copy
+from oracles import (
+    all_families,
+    brute_force_chains_through,
+    brute_force_has_copy,
+    brute_force_longest_chain,
+)
 from posetsat.constructs import (
     boolean_family,
     construct_2ck_c1,
@@ -520,10 +525,10 @@ def test_find_verdict_survives_relabelling(family, spec, data):
 
 
 @st.composite
-def index_families(draw):
-    """Distinct masks over [n], n <= 7, in any order: the index must not
+def index_families(draw, max_n=7):
+    """Distinct masks over [n], n <= max_n, in any order: the index must not
     lean on canonical order."""
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(1, max_n))
     masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=20, unique=True))
     return n, tuple(draw(st.permutations(masks)))
 
@@ -556,6 +561,9 @@ def test_family_index_matches_brute_force(case):
                 index.extended(g)
             continue
         assert index.relation_to(g) == (members(lambda m: m & g == m), members(lambda m: m & g == g))
+        # The constructor grows its index through the same step as extended,
+        # so this pins the two paths together; the brute force above is the
+        # independent check.
         grown, fresh = index.extended(g), _FamilyIndex(masks + (g,))
         assert grown.masks == fresh.masks
         assert grown.all_bits == fresh.all_bits
@@ -564,6 +572,47 @@ def test_family_index_matches_brute_force(case):
         assert grown.cols == fresh.cols
         assert grown.twin_classes(n) == fresh.twin_classes(n)
     assert (index.up, index.down, index.cols) == before  # growing copies the rows
+
+
+@pytest.mark.parametrize("m", [0, 0b101])
+def test_duplicate_members_raise(m):
+    # Every member goes through relation_to on its way into the index, so
+    # a repeated one is refused, by the index and by a searcher either way.
+    with pytest.raises(ValueError, match="already a member"):
+        _FamilyIndex((m, m))
+    for spec in ("2C2", "B2"):
+        with pytest.raises(ValueError, match="already a member"):
+            CopySearch((m, m), build_poset(spec))
+        with pytest.raises(ValueError, match="already a member"):
+            CopySearch((0b1, m, 0b11, m), build_poset(spec))
+
+
+# Mixed lengths climb past the shortest pair length; 3C1 has singletons only.
+LENGTH_SPECS = ["C3+C2", "C4+C2+C1", "2C3+C2", "3C1"]
+
+
+@settings(deadline=None)
+@given(index_families(max_n=6), st.sampled_from(LENGTH_SPECS))
+def test_length_masks_match_brute_force(case, spec):
+    # Node (b, t) hosts a chain of L sets exactly when L = 1 and b = t, or
+    # L >= 2 and the family holds a chain of at least L sets from masks[b]
+    # up to masks[t].  The nodes are the pairs that host some slot.
+    _, masks = case
+    chain = CopySearch(masks, build_poset(spec), engine="chains")._chain
+    lengths = set(chain.slots)
+
+    def hosts(b, t, length):
+        if length == 1:
+            return b == t
+        return brute_force_longest_chain(masks, masks[b], masks[t]) >= length
+
+    pairs = [(b, t) for b in range(len(masks)) for t in range(len(masks))]
+    assert set(chain.nodes) == {
+        (b, t) for b, t in pairs if any(hosts(b, t, length) for length in lengths)
+    }
+    for length in lengths:
+        expected = sum(1 << c for c, (b, t) in enumerate(chain.nodes) if hosts(b, t, length))
+        assert chain.len_ok[length] == expected, length
 
 
 SEED_SPECS = ["C2", "C3", "2C1", "2C2", "C2+C1", "3C1", "C3+C1", "B2"]
@@ -633,8 +682,9 @@ class TestChainEngineLimits:
         def no_masks(*args):
             raise AssertionError("per-node length masks built past MAX_NODES")
 
-        # The length masks are the first per-node structure built after the
-        # nodes are listed.
+        # The length masks are built once the nodes are listed and filed
+        # by bottom and top, before the adjacency rows, so past the cap the
+        # constructor must raise before it reaches them.
         monkeypatch.setattr(_ChainEngine, "_length_masks", no_masks)
         with pytest.raises(ValueError, match="interval nodes"):
             CopySearch(masks, poset, engine="chains")

@@ -18,3 +18,22 @@ def test_source_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_source_imports_no_private_names():
+    # Modules share only public names, so a search internal can change
+    # without another module, the solver included, reaching into it.
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, SRC
+    found = [
+        f"{path.name}:{node.lineno} {node.module or '.'}.{alias.name}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "posetsat")
+        for alias in node.names
+        if alias.name.startswith("_") or any(
+            part.startswith("_") for part in (node.module or "").split(".")
+        )
+    ]
+    assert not found, f"private names imported across modules: {found}"
