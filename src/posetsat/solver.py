@@ -1,13 +1,26 @@
 """Exact minimum size of an induced-saturated family at tiny ground size.
 
 Iterative deepening on the family size s = 0, 1, 2, ...: for each s a
-depth-first search runs over subsets of 2^[n] in canonical order, pruning
-every prefix that already contains an induced copy of the target (such a
-prefix can never extend to a free family).  A complete size-s family is
-accepted iff it is saturated, a check that stops at its first exception;
-the first acceptance is optimal because the sizes are tried in order.
-Saturation is only decided on complete families; it is not monotone along
-prefixes, so checking it earlier would be unsound.
+depth-first search runs over subsets of 2^[n] in canonical order, adding
+only sets that complete no induced copy of the target (a prefix with a
+copy can never extend to a free family), so every complete size-s family
+is free by construction.  It is accepted iff it is saturated, a check that
+stops at its first exception; the first acceptance is optimal because the
+sizes are tried in order.  Saturation is only decided on complete
+families; it is not monotone along prefixes, so checking it earlier would
+be unsound.
+
+Completing a copy is monotone.  Lemma: if g completes a copy in F (F + {g}
+has an induced copy that uses g), it completes one in every F' containing
+F with g not in F', because that copy's other images are members of F'.
+So each prefix tests each of its candidates at most once, hands the child
+of a pick only the candidates after it that it found addable, and stops
+picking once fewer remain than the child still needs.  It also hands down the sets
+that it or an ancestor saw complete a copy.  By the lemma each of them
+completes one in the complete family too, so the saturation check searches
+only the other absent sets, on the search's own searcher.  The check is
+exact: the family is free, and every absent set either completes a copy
+by the lemma or is searched.
 
 Symmetry is removed by orderly generation (Read 1978; McKay 1998).  A
 group G acts on the masks: every permutation of the lowest m = min(n, 6)
@@ -38,7 +51,6 @@ from .verify import (
     exceptions,
     greedy_saturate,
     is_induced_p_free,
-    is_saturated,
 )
 
 DEFAULT_SOLVER_BUDGET = 5_000_000
@@ -117,10 +129,16 @@ def sat_star_exact(
 ) -> SolveResult:
     """Minimum size of an induced-saturated family over [n] for the target.
 
-    ``node_budget`` caps prefix extensions tried by the outer search; each
-    embedded copy search gets the default ``DEFAULT_NODE_BUDGET``.  Exact
-    results carry a witness family that is re-verified (free and
-    exception-free) before being returned.
+    ``node_budget`` caps the outer search's freeness tests, one per
+    candidate set of each prefix, which ``nodes_explored`` counts; the
+    saturation checks of complete families are not counted, and each
+    embedded copy search gets the default ``DEFAULT_NODE_BUDGET``.  A
+    complete family is free by construction, and a set that completed a
+    copy in one of its prefixes completes one in it (the module docstring's
+    lemma), so its saturation check searches only the other absent sets and
+    stops at the first that completes none.  Exact results carry a witness
+    family that is re-verified (free and exception-free, by a full sweep)
+    before being returned.
     """
     if n > DEFAULT_ENUMERATION_CAP:
         raise ValueError(
@@ -136,24 +154,43 @@ def sat_star_exact(
     group = _GroundGroup(n, poset.spec is not None and poset.spec.is_self_dual())
     nodes = 0
 
-    def saturated(masks: tuple[int, ...]) -> bool:
-        # Stops at the first exception; the witness below gets the full sweep.
-        return is_saturated(Family(n, masks), poset)
+    def saturated(search: CopySearch, completes: int) -> bool:
+        # The family is free by construction, and every set in ``completes``
+        # completed a copy in a subfamily, so it completes one here too.
+        members = set(search.masks)
+        for g in universe:
+            if completes >> g & 1 or g in members:
+                continue
+            if search.find_containing(g) is None:
+                return False
+        return True
 
-    def dfs(start: int, search: CopySearch, left: int):
-        nonlocal nodes
+    def dfs(cands: list[int], search: CopySearch, left: int, completes: int):
         if left == 0:
-            return search.masks if saturated(search.masks) else None
-        for upos in range(start, len(universe) - left + 1):
-            g = universe[upos]
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError("solver node budget exceeded")
-            if search.find_containing(g) is not None:
+            return search.masks if saturated(search, completes) else None
+        free: dict[int, bool] = {}  # this prefix's freeness tests, by candidate
+
+        def addable(g: int) -> bool:
+            nonlocal nodes, completes
+            if g not in free:
+                nodes += 1
+                if nodes > node_budget:
+                    raise BudgetExceededError("solver node budget exceeded")
+                free[g] = search.find_containing(g) is None
+                if not free[g]:
+                    completes |= 1 << g  # and in every family the prefix grows into
+            return free[g]
+
+        for i in range(len(cands) - left + 1):
+            g = cands[i]
+            if not addable(g):
                 continue  # prefix would already contain a copy
             if not group.is_least(search.masks + (g,)):
                 continue  # another member of the prefix's orbit comes first
-            found = dfs(upos + 1, search.with_member(g), left - 1)
+            tail = [c for c in cands[i + 1:] if addable(c)]
+            if len(tail) < left - 1:
+                break  # later picks have shorter tails
+            found = dfs(tail, search.with_member(g), left - 1, completes)
             if found is not None:
                 return found
         return None
@@ -163,7 +200,7 @@ def sat_star_exact(
             # The generic engine: its whole state is the containment index,
             # which with_member extends in O(|F|) per prefix; the chain
             # engine would rebuild its interval nodes at every prefix.
-            found = dfs(0, CopySearch((), poset, engine="generic"), size)
+            found = dfs(universe, CopySearch((), poset, engine="generic"), size, 0)
             if found is not None:
                 witness = Family(n, found)
                 if not is_induced_p_free(witness, poset):

@@ -313,15 +313,24 @@ def greedy_saturate(
 
     Each exception is added exactly when the family built so far plus it is
     still free; the result contains the input, sits inside input-plus-
-    exceptions, and has an empty exception set of its own.
+    exceptions, and has an empty exception set of its own.  A copy found
+    for a rejected exception becomes a certificate: its other images stay
+    members as the family grows, so a later exception it covers completes
+    a copy too (the module docstring's lemma) and is rejected unsearched.
     """
     exc = exceptions(family, poset, node_budget=node_budget, max_ground=max_ground)
     searcher = CopySearch(family.sets, poset)
+    store = _Certificates(family.n)
     accepted = list(family.sets)
     for g in exc.sets:
-        if searcher.find_containing(g, node_budget) is None:
+        if store.covers(g):
+            continue
+        copy = searcher.find_containing(g, node_budget)
+        if copy is None:
             searcher = searcher.with_member(g)
             accepted.append(g)
+        else:
+            store.add(_certificate(g, copy.assignment))
     return canonicalize_family(accepted, family.n)
 
 

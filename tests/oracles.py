@@ -73,6 +73,21 @@ def brute_force_is_saturated(masks, n: int, poset: ComparabilityMatrix) -> bool:
     return True
 
 
+def brute_force_greedy_saturate(masks, n: int, poset: ComparabilityMatrix) -> tuple[int, ...]:
+    """Greedy completion by brute force: the exceptions of the family, each
+    an absent set that no copy through it uses, then each of them in
+    canonical order, added when no copy through it uses it in the family
+    built so far.  Returned in canonical order."""
+    members = tuple(masks)
+    absent = sorted(set(range(1 << n)) - set(members), key=canonical_key)
+    exceptions = [g for g in absent if not brute_force_has_copy(members + (g,), poset, require=g)]
+    accepted = members
+    for g in exceptions:
+        if not brute_force_has_copy(accepted + (g,), poset, require=g):
+            accepted += (g,)
+    return tuple(sorted(accepted, key=canonical_key))
+
+
 def brute_force_sat_star(n: int, poset: ComparabilityMatrix) -> tuple[int, Family]:
     """Minimum saturated family by enumerating every subset of 2^[n]."""
     universe = sorted(range(1 << n), key=canonical_key)

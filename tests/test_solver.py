@@ -3,7 +3,12 @@ from collections import Counter
 
 import pytest
 
-from oracles import all_families, brute_force_least_image, brute_force_sat_star
+from oracles import (
+    all_families,
+    brute_force_is_saturated,
+    brute_force_least_image,
+    brute_force_sat_star,
+)
 from posetsat.posetspec import build_poset
 from posetsat.setfam import Family, canonicalize_family, mask_of
 from posetsat.solver import _GroundGroup, sat_star_exact, solve_result_to_json
@@ -23,6 +28,7 @@ class TestAgainstFullEnumeration:
         assert got.value == want_value
         assert len(got.witness) == want_value
         assert is_saturated(got.witness, poset)
+        assert brute_force_is_saturated(got.witness.sets, n, poset)
 
 
 class TestExamples:
@@ -60,6 +66,38 @@ class TestBehaviour:
                 continue
             completed = greedy_saturate(start, poset)
             assert sat_star_exact(3, poset).value <= len(completed)
+
+    @pytest.mark.parametrize(
+        "spec,n,witness",
+        [
+            ("2C2", 4, (0, 1, 2, 4, 8, 3, 7, 15)),
+            ("3C1", 4, (0, 1, 2, 3, 5, 7, 11, 15)),
+            ("B2", 4, (0, 1, 2, 4, 8)),
+            ("2C1", 5, (0, 1, 3, 7, 15, 31)),
+        ],
+    )
+    def test_first_witness_pinned(self, spec, n, witness):
+        # The first saturated family in the search order.  Reusing freeness
+        # tests down a branch skips only prefixes that cannot grow into a
+        # free family of the size tried, so this family does not move.
+        got = sat_star_exact(n, build_poset(spec))
+        assert got.status == "exact"
+        assert got.witness.sets == witness
+
+    def test_budget_overrun_returns_greedy_incumbent(self):
+        poset = build_poset("2C2")
+        incumbent = greedy_saturate(Family(4, ()), poset)
+        exact = sat_star_exact(4, poset)
+        assert exact.status == "exact"
+        last = exact.nodes_explored
+        assert sat_star_exact(4, poset, node_budget=last) == exact
+        for budget in (0, 1, 2, 7, 30, 100, 600, last - 1):
+            got = sat_star_exact(4, poset, node_budget=budget)
+            assert got.status == "budget_exceeded", budget
+            assert got.witness == incumbent
+            assert got.value == len(incumbent)
+            # The freeness test that overran is counted, and none after it.
+            assert got.nodes_explored == budget + 1
 
     def test_budget_exceeded_carries_upper_bound(self):
         poset = build_poset("C2")
