@@ -15,8 +15,8 @@ sets.  Two engines implement the search behind one interface:
   The element with the smallest domain is placed next.  It handles any
   target, including the Boolean-lattice ones.
 
-* The chain engine serves pure chain-union targets.  Two chains are fully
-  cross-incomparable exactly when each bottom escapes the other's top, so
+* The chain engine serves every pure chain-union target.  Two chains are
+  fully cross-incomparable exactly when each bottom escapes the other's top, so
   a chain is summarized by its (bottom, top) pair; the engine enumerates
   realizable interval nodes via bitset level sets (level j above a member
   holds the members on a chain of at least j + 2 sets from it, each level
@@ -34,7 +34,9 @@ sets.  Two engines implement the search behind one interface:
   can step an end towards g and only widen its pool.  A search for any
   copy makes its first pick once per orbit of the family's twin group.
   This is what makes exhaustive negative verdicts (freeness proofs,
-  exception sweeps) fast on families full of long chains.
+  exception sweeps) fast on families full of long chains.  A node's
+  clashes are read from two rows per member, with no table over pairs of
+  nodes, so it has no cap on their number.
 
 Both engines read one containment index of the family: for each member,
 the members above it and those below it, as bitsets over family indices
@@ -348,8 +350,11 @@ class _ChainEngine:
     lengths: level j above a member holds the members on a chain of at
     least j + 2 sets from it, and each level is one gather of the one
     before.  Cross-incomparability of two chains reduces to their extremes:
-    bottom of each must escape the top of the other, so compatibility of a
-    node against everything chosen is two bitset ANDs.  Slots run shortest
+    bottom of each must escape the top of the other.  So node (b, t)
+    clashes with ``nb[t] | nt[b]``, the nodes whose bottom fits in t and
+    those whose top contains b, and the nodes compatible with everything
+    chosen shrink by one mask per pick.  Memory grows with the nodes times
+    the members, never with the nodes squared.  Slots run shortest
     first, and chains of equal length take their nodes in ascending order.
     No pruning changes a verdict: the colouring bound (``_solve``) cuts
     only subtrees that hold no copy; a pinned search tries only exact-reach
@@ -368,16 +373,8 @@ class _ChainEngine:
         "nt",
         "by_bottom",
         "by_top",
-        "adj",
+        "clash",
     )
-
-    # Above this many interval nodes the generic engine takes over.  The
-    # adjacency rows hold one bit per pair of nodes: at 2ck-c1(14,7) / 2C7+C1
-    # (26,441 nodes) they take about 0.25 s to build and lift peak RSS from
-    # 29 MB to 117 MB; at the cap they take about 313 MB (50,000^2 bits).  At n <= 16 the only named construction
-    # past it is 2ck-c1(16,8) / 2C8+C1 (102,449 nodes), whose freeness check
-    # runs both engines out of a 20M-node budget.
-    MAX_NODES = 50_000
 
     def __init__(self, index: _FamilyIndex, poset: ComparabilityMatrix):
         self.index = index
@@ -391,8 +388,7 @@ class _ChainEngine:
 
         # Interval nodes, ordered by (bottom index, top index).  With L the
         # shortest pair length, the tops of chains of at least L sets from b
-        # are level L - 2 above b, whose level 0 is its up row.  The cap is
-        # checked before any per-node structure is built.
+        # are level L - 2 above b, whose level 0 is its up row.
         tops_of = [0] * nf
         nodes: list[tuple[int, int]] = []
         for b in range(nf):
@@ -401,10 +397,6 @@ class _ChainEngine:
             if pair_lengths:
                 tops_of[b] = tops = _climb(up, up[b], pair_lengths[0] - 2)
                 nodes.extend((b, t) for t in _bits(tops))
-        if len(nodes) > self.MAX_NODES:
-            raise ValueError(
-                f"{len(nodes)} interval nodes exceed the chain engine's cap of {self.MAX_NODES}"
-            )
         self.nodes = nodes
         self.all_nodes = (1 << len(nodes)) - 1
 
@@ -420,9 +412,9 @@ class _ChainEngine:
         self.len_ok = self._length_masks(tops_of, pair_lengths)
         self.nb = [_gather(by_bottom, down[x] | 1 << x) for x in range(nf)]
         self.nt = [_gather(by_top, up[x] | 1 << x) for x in range(nf)]
-        # Compatibility rows keep the inner search at one AND per node: a
-        # node is compatible when neither chain's bottom fits in the other's top.
-        self.adj = [self.all_nodes & ~self.nb[t] & ~self.nt[b] for b, t in nodes]
+        # Node (b, t) clashes with nb[t] | nt[b]; a node keeps the two
+        # references, and no mask is built per node.
+        self.clash = [(self.nb[t], self.nt[b]) for b, t in nodes]
 
     def _length_masks(self, tops_of: list[int], pair_lengths: list[int]):
         """``len_ok[L]``: the nodes that can host a chain of L sets.
@@ -454,10 +446,11 @@ class _ChainEngine:
         Colouring bound: the picks still to make are pairwise compatible
         nodes of a pool, so before the search steps a depth down it splits
         the pool greedily into classes of pairwise incompatible nodes, one
-        AND per node.  Pairwise compatible nodes take one class each at
-        most, so fewer classes than remaining slots prune the subtree; the
-        colouring stops once the count reaches the slots.  Only subtrees
-        that hold no copy are cut, so the first copy found is unchanged.
+        clash set read per node.  Pairwise compatible nodes take one class
+        each at most, so fewer classes than remaining slots prune the
+        subtree; the colouring stops once the count reaches the slots.
+        Only subtrees that hold no copy are cut, so the first copy found is
+        unchanged.
 
         When every remaining slot has the next slot's length, the pool is
         the next depth's candidates, as equal chains ascend from there.
@@ -477,7 +470,7 @@ class _ChainEngine:
         if total == 0:
             return []
         ok = [self.len_ok[length] for length in slots]
-        adj = self.adj
+        clash = self.clash
         chosen = [0] * total
         avail = [0] * total
         cand_stack = [0] * total
@@ -502,7 +495,8 @@ class _ChainEngine:
             if step == total:
                 budget[0] = left
                 return chosen
-            nxt = cand_stack[depth] & adj[v]
+            x, y = clash[v]
+            nxt = cand_stack[depth] & ~(x | y)
             a = nxt & ok[step]
             if slots[step] == slots[depth]:
                 a &= -1 << (v + 1)  # equal chains in ascending node order
@@ -519,7 +513,8 @@ class _ChainEngine:
                     while q:
                         low = q & -q
                         pool ^= low
-                        q ^= low | (q & adj[low.bit_length() - 1])
+                        x, y = clash[low.bit_length() - 1]
+                        q = q & (x | y) ^ low  # a node clashes with itself
                 if need:
                     continue
             depth = step
@@ -737,11 +732,10 @@ def _walk(masks: tuple[int, ...], start: int, levels: list[int], step: list[int]
 class CopySearch:
     """Reusable induced-copy searcher bound to one family and one target.
 
-    Picks the chain engine for pure chain-union targets with at most
-    ``_ChainEngine.MAX_NODES`` interval nodes and the generic backtracker
-    otherwise; ``engine`` forces the choice for cross-checks, and a forced
-    chain engine past that cap raises ValueError.  Both engines read one
-    containment index of the family; a repeated mask raises ValueError.
+    Picks the chain engine for pure chain-union targets and the generic
+    backtracker otherwise; ``engine="generic"`` forces the backtracker for
+    cross-checks.  Both engines read one containment index of the family; a
+    repeated mask raises ValueError.
     """
 
     def __init__(
@@ -750,15 +744,16 @@ class CopySearch:
         poset: ComparabilityMatrix,
         engine: str = "auto",
     ):
-        if engine not in ("auto", "chains", "generic"):
+        if engine not in ("auto", "generic"):
             raise ValueError(f"unknown engine {engine!r}")
-        if engine == "chains" and poset.chains is None:
-            raise ValueError("chain engine needs a pure chain-union target")
         self.poset = poset
-        self.engine_name = engine
         self._index = _FamilyIndex(masks)
+        self._chain: _ChainEngine | None = None
         self._plan: _SearchPlan | None = None
-        self._pick_engine()
+        if engine == "auto" and poset.chains is not None:
+            self._chain = _ChainEngine(self._index, poset)
+        else:
+            self._plan = _SearchPlan(poset)
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -771,18 +766,6 @@ class CopySearch:
         once per family and shared with the chain engine's ``find``.
         """
         return self._index.twin_classes(n)
-
-    def _pick_engine(self) -> None:
-        """Chain engine over the index where it serves, else the generic plan."""
-        self._chain: _ChainEngine | None = None
-        if self.engine_name != "generic" and self.poset.chains is not None:
-            try:
-                self._chain = _ChainEngine(self._index, self.poset)
-                return
-            except ValueError:  # past MAX_NODES, found before any row is built
-                if self.engine_name == "chains":
-                    raise
-        self._plan = _SearchPlan(self.poset)
 
     def _to_embedding(self, by_len: dict[int, list[list[int]]]) -> Embedding:
         assignment = [0] * self.poset.size
@@ -836,9 +819,7 @@ class CopySearch:
         Raises ValueError if g is already a member.
 
         The index grows in O(|F|) and is all the generic engine needs; the
-        chain engine is rebuilt over it.  Adding a member never removes an
-        interval node, so a fallback at ``MAX_NODES`` stays one, and a
-        forced chain engine that grows past it raises ValueError.
+        chain engine is rebuilt over it.
         """
         # A plain dict copy: copy.copy costs five times as much, and the
         # exact solver grows a searcher at every accepted prefix.
@@ -846,7 +827,7 @@ class CopySearch:
         out.__dict__.update(self.__dict__)
         out._index = self._index.extended(g)
         if self._chain is not None:
-            out._pick_engine()
+            out._chain = _ChainEngine(out._index, self.poset)
         return out
 
 

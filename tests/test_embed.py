@@ -119,8 +119,9 @@ class TestAgainstBruteForce:
         # Ordering must never lose a copy, with or without a required member.
         poset = build_poset(spec)
         for masks in all_families(3):
-            chains = CopySearch(masks, poset, engine="chains")
+            chains = CopySearch(masks, poset)
             generic = CopySearch(masks, poset, engine="generic")
+            assert chains._chain is not None
             assert (chains.find() is None) == (generic.find() is None), masks
             for g in set(range(8)) - set(masks):
                 a = chains.find_containing(g)
@@ -203,7 +204,9 @@ class TestAgainstBruteForce:
         chain_posets = [build_poset(s) for s in ("2C2", "C3+C1", "3C1")]
         for masks in random_families(150):
             for poset in chain_posets:
-                a = CopySearch(masks, poset, engine="chains").find() is not None
+                chains = CopySearch(masks, poset)
+                assert chains._chain is not None
+                a = chains.find() is not None
                 b = CopySearch(masks, poset, engine="generic").find() is not None
                 assert a == b, (masks, poset.spec)
 
@@ -211,10 +214,12 @@ class TestAgainstBruteForce:
         family = construct_mc2_binom(6, 1)
         P = build_poset("3C2")
         members = set(family.sets)
+        chains = CopySearch(family.sets, P)
+        assert chains._chain is not None
         for g in range(1 << 6):
             if g in members:
                 continue
-            a = CopySearch(family.sets, P, engine="chains").find_containing(g)
+            a = chains.find_containing(g)
             b = CopySearch(family.sets, P, engine="generic").find_containing(g)
             assert (a is None) == (b is None), g
             for emb in (a, b):
@@ -227,10 +232,12 @@ class TestAgainstBruteForce:
         family = construct_2ck_c1(6, 3)
         P = build_poset("2C3+C1")
         members = set(family.sets)
+        chains = CopySearch(family.sets, P)
+        assert chains._chain is not None
         for g in range(1 << 6):
             if g in members:
                 continue
-            a = CopySearch(family.sets, P, engine="chains").find_containing(g)
+            a = chains.find_containing(g)
             b = CopySearch(family.sets, P, engine="generic").find_containing(g)
             assert (a is None) == (b is None), g
 
@@ -303,7 +310,8 @@ class TestChainPruning:
     taken longest first left the colouring bound idle on 2C_k+C1: freeness
     of 2ck-c1(11,4) took 18,069 nodes, 2ck-c1(12,6) 6,274,012, and
     2ck-c1(14,7) ran out of the default budget.  Shortest first, the tail
-    after the C1 pick is uniform, and they take 22, 24 and 28.
+    after the C1 pick is uniform, and they take 22, 24 and 28;
+    2ck-c1(16,8) / 2C8+C1 (102,449 interval nodes) takes 32.
     """
 
     @pytest.mark.parametrize("family,spec,budget", [
@@ -312,6 +320,7 @@ class TestChainPruning:
         (construct_2ck_c1(11, 4), "2C4+C1", 100),
         (construct_2ck_c1(12, 6), "2C6+C1", 1_000),
         (construct_2ck_c1(14, 7), "2C7+C1", embed.DEFAULT_NODE_BUDGET),
+        pytest.param(construct_2ck_c1(16, 8), "2C8+C1", 1_000, marks=pytest.mark.slow),
     ])
     def test_freeness_within_budget(self, family, spec, budget):
         searcher = CopySearch(family.sets, build_poset(spec))
@@ -344,7 +353,7 @@ class TestChainPruning:
         monkeypatch.setattr(_ChainEngine, "_g_classes", recording)
         checked = 0
         for masks in random_families(12, seed=7):
-            engine = CopySearch(masks, poset, engine="chains")._chain
+            engine = CopySearch(masks, poset)._chain
             for g in range(32):
                 if g in masks:
                     continue
@@ -374,7 +383,7 @@ class TestChainPruning:
 class TestIncrementalSearch:
     CHAIN_SPECS = ("2C2", "C3+C1", "3C1")
 
-    @pytest.mark.parametrize("engine", ["chains", "generic"])
+    @pytest.mark.parametrize("engine", ["auto", "generic"])
     def test_with_member_matches_fresh_search(self, engine):
         specs = self.CHAIN_SPECS + (("B2",) if engine == "generic" else ())
         posets = [build_poset(s) for s in specs]
@@ -392,6 +401,7 @@ class TestIncrementalSearch:
                     if last is not None:
                         base.find_containing(last)
                     grown = base.with_member(g)
+                    assert (grown._chain is not None) == (engine == "auto")
                     assert grown.masks == fresh.masks
                     assert grown.find() == fresh.find(), (masks, g, poset.spec)
                     for h in probes:
@@ -399,7 +409,7 @@ class TestIncrementalSearch:
                             assert grown.find_containing(h) == fresh.find_containing(h), (
                                 masks, g, h, poset.spec)
 
-    @pytest.mark.parametrize("engine", ["chains", "generic"])
+    @pytest.mark.parametrize("engine", ["auto", "generic"])
     @pytest.mark.parametrize("spec", ["C2", "2C1"])
     def test_member_is_rejected(self, engine, spec):
         poset = build_poset(spec)
@@ -411,7 +421,7 @@ class TestIncrementalSearch:
                 with pytest.raises(ValueError):
                     searcher.with_member(g)
 
-    @pytest.mark.parametrize("engine", ["auto", "chains", "generic"])
+    @pytest.mark.parametrize("engine", ["auto", "generic"])
     def test_member_by_member_growth(self, engine):
         # The pattern greedy completion uses: grow one member at a time.
         family = construct_2ck_c1(6, 3)
@@ -421,6 +431,7 @@ class TestIncrementalSearch:
             searcher = searcher.with_member(g)
             fresh = CopySearch(family.sets[: i + 1], P, engine=engine)
             assert searcher.find() == fresh.find()
+        assert (searcher._chain is not None) == (engine == "auto")
         for g in range(1 << 6):
             if g not in family.sets:
                 assert searcher.find_containing(g) == fresh.find_containing(g), g
@@ -448,8 +459,9 @@ def chain_search_cases(draw):
 @given(chain_search_cases())
 def test_engines_agree_on_random_chain_unions(case):
     family, poset = case
-    chains = CopySearch(family.sets, poset, engine="chains")
+    chains = CopySearch(family.sets, poset)
     generic = CopySearch(family.sets, poset, engine="generic")
+    assert chains._chain is not None
     a, b = chains.find(), generic.find()
     assert (a is None) == (b is None)
     for emb in (a, b):
@@ -502,7 +514,8 @@ BLOCK_SPECS = ["C3+C2+C1", "C4+C2", "2C2+C1", "3C1", "2C3", "C2+2C1", "2C2"]
 def test_chain_engine_on_block_families(family, spec, data):
     # Twins make find's first picks skip members of a shared orbit.
     poset = build_poset(spec)
-    searcher = CopySearch(family.sets, poset, engine="chains")
+    searcher = CopySearch(family.sets, poset)
+    assert searcher._chain is not None
     assert (searcher.find() is not None) == brute_force_has_copy(family.sets, poset)
     absent = [g for g in range(1 << family.n) if g not in family.sets]
     pins = data.draw(st.lists(st.sampled_from(absent), max_size=2, unique=True)) if absent else []
@@ -519,7 +532,9 @@ def test_find_verdict_survives_relabelling(family, spec, data):
     poset = build_poset(spec)
 
     def free(masks):
-        return CopySearch(masks, poset, engine="chains").find() is None
+        searcher = CopySearch(masks, poset)
+        assert searcher._chain is not None
+        return searcher.find() is None
 
     assert free(image) == free(family.sets)
 
@@ -598,7 +613,7 @@ def test_length_masks_match_brute_force(case, spec):
     # L >= 2 and the family holds a chain of at least L sets from masks[b]
     # up to masks[t].  The nodes are the pairs that host some slot.
     _, masks = case
-    chain = CopySearch(masks, build_poset(spec), engine="chains")._chain
+    chain = CopySearch(masks, build_poset(spec))._chain
     lengths = set(chain.slots)
 
     def hosts(b, t, length):
@@ -613,6 +628,28 @@ def test_length_masks_match_brute_force(case, spec):
     for length in lengths:
         expected = sum(1 << c for c, (b, t) in enumerate(chain.nodes) if hosts(b, t, length))
         assert chain.len_ok[length] == expected, length
+
+
+@settings(deadline=None)
+@given(index_families(max_n=6), st.sampled_from(LENGTH_SPECS))
+def test_clash_sets_match_brute_force(case, spec):
+    # nb[x] holds the nodes whose bottom lies inside masks[x], nt[x] those
+    # whose top contains it, and node (b, t) clashes with nb[t] | nt[b]:
+    # exactly the nodes outside the pool of a chain with its end masks.
+    _, masks = case
+    chain = CopySearch(masks, build_poset(spec))._chain
+    nodes = range(len(chain.nodes))
+
+    def having(pred):
+        return sum(1 << c for c, (b, t) in enumerate(chain.nodes) if pred(masks[b], masks[t]))
+
+    for x, m in enumerate(masks):
+        assert chain.nb[x] == having(lambda bottom, top: bottom & m == bottom)
+        assert chain.nt[x] == having(lambda bottom, top: top & m == m)
+    for v, (b, t) in enumerate(chain.nodes):
+        x, y = chain.clash[v]
+        clashes = {c for c in nodes if (x | y) >> c & 1}
+        assert clashes == set(nodes) - TestChainPruning._pool(chain, masks[b], masks[t]), v
 
 
 SEED_SPECS = ["C2", "C3", "2C1", "2C2", "C2+C1", "3C1", "C3+C1", "B2"]
@@ -643,11 +680,11 @@ def test_order_seed_never_changes_a_verdict(family, spec, seed, data):
             assert require is None or require in emb.assignment
 
 
-def _verdicts(cases):
-    """find and find_containing verdicts of the auto engine on each case."""
+def _verdicts(cases, engine="auto"):
+    """find and find_containing verdicts of one engine on each case."""
     out = []
     for masks, n, poset in cases:
-        searcher = CopySearch(masks, poset)
+        searcher = CopySearch(masks, poset, engine=engine)
         out.append(searcher.find() is None)
         out.extend(
             searcher.find_containing(g) is None
@@ -664,56 +701,16 @@ class TestChainEngineLimits:
         (construct_2ck_c1(6, 3).sets, 6, build_poset("2C3+C1")),
     ]
 
-    def test_chain_engine_builds_rows_up_to_the_cap(self):
-        # The chain engine, with its adjacency rows, serves every family up
-        # to MAX_NODES; 2ck-c1(14,7) / 2C7+C1 has 26,441 interval nodes.
-        searcher = CopySearch(construct_2ck_c1(14, 7).sets, build_poset("2C7+C1"))
-        chain = searcher._chain
-        assert chain is not None
-        assert len(chain.nodes) == 26_441
-        assert len(chain.adj) == len(chain.nodes)
-
-    def test_cap_is_checked_before_any_row_is_built(self, monkeypatch):
-        masks, _, poset = self.CASES[-1]
-        nodes = len(CopySearch(masks, poset)._chain.nodes)
-        monkeypatch.setattr(_ChainEngine, "MAX_NODES", nodes - 1)
-        smaller = CopySearch(masks[:-1], poset, engine="chains")
-
-        def no_masks(*args):
-            raise AssertionError("per-node length masks built past MAX_NODES")
-
-        # The length masks are built once the nodes are listed and filed
-        # by bottom and top, before the adjacency rows, so past the cap the
-        # constructor must raise before it reaches them.
-        monkeypatch.setattr(_ChainEngine, "_length_masks", no_masks)
-        with pytest.raises(ValueError, match="interval nodes"):
-            CopySearch(masks, poset, engine="chains")
-        searcher = CopySearch(masks, poset)
-        assert searcher._chain is None and searcher._plan is not None
-        with pytest.raises(ValueError, match="interval nodes"):
-            smaller.with_member(masks[-1])
-
-    def test_generic_fallback_keeps_verdicts(self, monkeypatch):
-        expected = _verdicts(self.CASES)
-        monkeypatch.setattr(_ChainEngine, "MAX_NODES", 0)
-        masks, _, poset = self.CASES[-1]
-        assert CopySearch(masks, poset)._chain is None
-        assert _verdicts(self.CASES) == expected
-
-    def test_fallback_while_growing(self, monkeypatch):
-        family = construct_2ck_c1(6, 3)
-        P = build_poset("2C3+C1")
-        absent = [g for g in range(1 << 6) if g not in family.sets]
-        reference = CopySearch(family.sets, P)
-        expected = [reference.find_containing(g) is None for g in absent]
-        monkeypatch.setattr(_ChainEngine, "MAX_NODES", 10)
-        searcher = CopySearch((), P)
+    def test_chain_engine_has_no_node_cap(self):
+        # A node's clashes are read from two per-member rows, so no table
+        # over pairs of nodes limits the engine: it serves 2ck-c1(16,8) /
+        # 2C8+C1, with 102,449 interval nodes.
+        searcher = CopySearch(construct_2ck_c1(16, 8).sets, build_poset("2C8+C1"))
         assert searcher._chain is not None
-        for g in family.sets:
-            searcher = searcher.with_member(g)
-        assert searcher._chain is None
-        assert searcher.find() is None
-        assert [searcher.find_containing(g) is None for g in absent] == expected
+        assert len(searcher._chain.nodes) == 102_449
+
+    def test_generic_engine_keeps_verdicts(self):
+        assert _verdicts(self.CASES, engine="generic") == _verdicts(self.CASES)
 
 
 class TestVerifyEmbedding:
