@@ -3,7 +3,9 @@
 An induced copy of a target P inside a family F is an injective assignment
 b of poset elements to members of F with p <= q in P if and only if
 b(p) is a subset of b(q); incomparable elements must map to incomparable
-sets.  Two engines implement the search behind one interface:
+sets.  Two engines implement the search behind one interface, ``find``
+and ``find_containing``, each giving a copy's images in poset-element
+order.  A ``CopySearch`` holds one of them, picked from its target:
 
 * The generic engine is a forward-checking backtracker over one candidate
   domain per poset element, kept as a bitset over family indices.  A
@@ -13,7 +15,8 @@ sets.  Two engines implement the search behind one interface:
   every unplaced element, so a domain holds exactly the images that match
   everything placed, and an image that empties one is rejected at once.
   The element with the smallest domain is placed next.  It handles any
-  target, including the Boolean-lattice ones.
+  target and serves every one that is not a pure chain union, the
+  Boolean-lattice ones included.
 
 * The chain engine serves every pure chain-union target.  Two chains are
   fully cross-incomparable exactly when each bottom escapes the other's top, so
@@ -48,7 +51,8 @@ grows by a member, and it keeps the family's twin classes, computed once.
 Chains of equal length are interchangeable.  The chain engine picks their
 interval nodes in ascending order, which removes a factorial blowup
 without changing whether a copy exists.  The generic engine does not break
-this symmetry: on a chain target it finds a copy exactly when the chain
+this symmetry.  No search runs it on a chain target, but the tests do, as
+the chain engine's reference: there it finds a copy exactly when the chain
 engine does, possibly a different one, and a target with many equal
 chains costs it more search.
 Every search carries a node budget and raises
@@ -227,18 +231,19 @@ class _FamilyIndex:
         return classes
 
 
-class _SearchPlan:
-    """Per-target data: pair relations and each element's degree profile.
+class _GenericEngine:
+    """Forward-checking search for any target, over degree-filtered domains.
 
     ``rel[i][j]`` is the relation of element i to element j.  ``profiles``
     maps (above, below, apart) -- how many elements lie strictly above i,
     strictly below it and apart from it -- to the bitset of positions that
-    have it.
+    have it.  ``find`` and ``find_containing`` return the images of a copy
+    in the family ``index`` in poset-element order.
     """
 
-    __slots__ = ("size", "rel", "profiles")
+    __slots__ = ("index", "size", "rel", "profiles")
 
-    def __init__(self, poset: ComparabilityMatrix):
+    def __init__(self, index: _FamilyIndex, poset: ComparabilityMatrix):
         p = poset.size
         rows = poset.leq_rows
         rel = [[_INC] * p for _ in range(p)]
@@ -254,6 +259,7 @@ class _SearchPlan:
         for i, row in enumerate(rel):
             key = (row.count(_LT), row.count(_GT), row.count(_INC) - 1)  # not i itself
             profiles[key] = profiles.get(key, 0) | 1 << i
+        self.index = index
         self.size = p
         self.rel = rel
         self.profiles = profiles
@@ -277,10 +283,36 @@ class _SearchPlan:
                 out[pos] = dom
         return out
 
+    def find(self, budget: list[int]) -> tuple[int, ...] | None:
+        """A copy in the family, or None."""
+        index = self.index
+        res = _run(index, self, budget, self.domains(index))
+        return None if res is None else tuple(index.masks[i] for i in res)
+
+    def find_containing(self, g: int, budget: list[int]) -> tuple[int, ...] | None:
+        """A copy inside masks + {g} whose image uses g; g is not a member.
+
+        Pins g to each position in turn; the first copy wins.  The domains
+        are computed once, and a position whose domain lacks g is skipped
+        without trying a candidate.
+        """
+        ext = self.index.extended(g)
+        g_bit = 1 << len(self.index.masks)
+        start = self.domains(ext)
+        for pin_pos, dom in enumerate(start):
+            if not dom & g_bit:
+                continue
+            pinned = start[:]
+            pinned[pin_pos] = g_bit
+            res = _run(ext, self, budget, pinned)
+            if res is not None:
+                return tuple(ext.masks[i] for i in res)
+        return None
+
 
 def _run(
     index: _FamilyIndex,
-    plan: _SearchPlan,
+    plan: _GenericEngine,
     budget: list[int],
     domains: list[int],
 ) -> list[int] | None:
@@ -365,6 +397,7 @@ class _ChainEngine:
 
     __slots__ = (
         "index",
+        "chains",
         "slots",
         "nodes",
         "all_nodes",
@@ -378,8 +411,9 @@ class _ChainEngine:
 
     def __init__(self, index: _FamilyIndex, poset: ComparabilityMatrix):
         self.index = index
+        self.chains = poset.chains
         # One slot per target chain, shortest first.
-        self.slots = sorted(len(chain) for chain in poset.chains)
+        self.slots = sorted(len(chain) for chain in self.chains)
 
         up, down = index.up, index.down
         nf = len(index.masks)
@@ -524,7 +558,8 @@ class _ChainEngine:
         return None
 
     def _assemble(self, chosen: list[int], slots: list[int], extra=None):
-        """Masks per slot; ``extra`` = (g_path, g_slot_length) when pinned.
+        """Images in poset-element order; ``extra`` = (g_path, g_slot_length)
+        when pinned.
 
         A node's chain is walked through the levels below its top, built
         here, for a copy already found.
@@ -546,10 +581,14 @@ class _ChainEngine:
         by_len: dict[int, list[list[int]]] = {}
         for path, length in zip(paths, slots):
             by_len.setdefault(length, []).append(path)
-        return by_len
+        assignment = [0] * sum(slots)
+        for chain in self.chains:
+            for element, mask in zip(chain, by_len[len(chain)].pop()):
+                assignment[element] = mask
+        return tuple(assignment)
 
     def find(self, budget: list[int]):
-        """A copy in the family, or None.
+        """A copy's images in poset-element order, or None.
 
         Depth 0 tries only nodes whose bottom is the lowest-index member of
         its orbit under the family's twin group; members m and m' share an
@@ -585,7 +624,8 @@ class _ChainEngine:
         return self._assemble(chosen, self.slots)
 
     def find_containing(self, g: int, budget: list[int]):
-        """A copy inside masks + {g} whose image uses g; g is not a member."""
+        """A copy inside masks + {g} whose image uses g, as ``find`` gives
+        it; g is not a member."""
         index = self.index
         down_set, up_set = index.relation_to(g)
         nb_g = _gather(self.by_bottom, down_set)
@@ -601,13 +641,13 @@ class _ChainEngine:
             rest_slots = self.slots[:]
             rest_slots.remove(length)
             scored = []
-            for b, t in self._g_classes(length, down_levels, up_levels):
+            for d, b, t in self._g_classes(length, down_levels, up_levels):
                 cand = self.all_nodes
                 cand &= ~(nb_g if t is None else self.nb[t])
                 cand &= ~(nt_g if b is None else self.nt[b])
-                scored.append((-cand.bit_count(), len(scored), b, t, cand))
+                scored.append((-cand.bit_count(), len(scored), d, b, t, cand))
             scored.sort()  # widest candidate pool first: succeeds soonest
-            for _, _, b, t, cand in scored:
+            for _, _, d, b, t, cand in scored:
                 budget[0] -= 1
                 if budget[0] < 0:
                     budget[0] = 0
@@ -615,13 +655,14 @@ class _ChainEngine:
                 chosen = self._solve(rest_slots, cand, budget)
                 if chosen is None:
                     continue
-                g_path = self._g_path(g, b, t, down_levels, up_levels)
+                below, above = down_levels[: d - 2], up_levels[: length - 1 - d]
+                g_path = self._g_path(g, b, below, t, above)
                 return self._assemble(chosen, rest_slots, extra=(g_path, length))
         return None
 
     @staticmethod
     def _g_classes(length: int, down_levels: list[int], up_levels: list[int]):
-        """(bottom, top) endpoint classes for g's own chain; None means g.
+        """(d, bottom, top) endpoint classes for g's own chain; None means g.
 
         A member's reach is the number of sets on its longest chain to g, g
         included, and g as an end reaches 1; a class reaches the sum of its
@@ -632,27 +673,27 @@ class _ChainEngine:
         bottom) one set towards g along its longest chain, reaching one set
         less with a pool at least as wide.  So an exact-reach class holds a
         copy whenever a longer one does, and a shorter one holds no chain of
-        ``length`` sets.  The levels run to ``length - 1`` at least.
+        ``length`` sets.  The levels run to ``length - 1`` at least.  The
+        split d is the bottom's reach, so the top reaches length + 1 - d.
         """
         if length == 1:
-            yield (None, None)
+            yield (1, None, None)
             return
         for d in range(1, length + 1):
             tops = _exact_reach(up_levels, length + 1 - d)
             for b in _exact_reach(down_levels, d):
                 for t in tops:
-                    yield (b, t)
+                    yield (d, b, t)
 
-    def _g_path(self, g, b, t, down_levels, up_levels):
+    def _g_path(self, g, b, below, t, above):
         """Realize g's chain from the exact-reach class (b, t): from b up to
-        g along the levels below g, then on to t along those above it."""
+        g through ``below``, the levels under g that b reaches past, then on
+        to t through ``above``."""
         index = self.index
         down_part, up_part = [g], []
         if b is not None:
-            below = down_levels[: _reach_of(down_levels, b) - 2]
             down_part = _walk(index.masks, b, below, index.up) + down_part
         if t is not None:
-            above = up_levels[: _reach_of(up_levels, t) - 2]
             up_part = _walk(index.masks, t, above, index.down)[::-1]
         return down_part + up_part
 
@@ -702,15 +743,6 @@ def _exact_reach(levels: list[int], reach: int) -> list:
     return list(_bits(levels[reach - 2] & ~levels[reach - 1]))
 
 
-def _reach_of(levels: list[int], i: int) -> int:
-    """Sets on member i's longest chain to the end point, end included;
-    i lies in level 0, and the levels run one past its reach."""
-    reach = 2
-    while levels[reach - 1] >> i & 1:
-        reach += 1
-    return reach
-
-
 def _walk(masks: tuple[int, ...], start: int, levels: list[int], step: list[int]) -> list[int]:
     """Masks of ``start`` and one member of each level, the last level first.
 
@@ -732,32 +764,21 @@ def _walk(masks: tuple[int, ...], start: int, levels: list[int], step: list[int]
 class CopySearch:
     """Reusable induced-copy searcher bound to one family and one target.
 
-    Picks the chain engine for pure chain-union targets and the generic
-    backtracker otherwise; ``engine="generic"`` forces the backtracker for
-    cross-checks.  Both engines read one containment index of the family; a
-    repeated mask raises ValueError.
+    Holds one engine over the family's containment index, picked from the
+    target: the chain engine for pure chain-union targets and the generic
+    backtracker for every other.  Both answer ``find`` and
+    ``find_containing`` with the images in poset-element order.  A repeated
+    mask raises ValueError.
     """
 
-    def __init__(
-        self,
-        masks: tuple[int, ...],
-        poset: ComparabilityMatrix,
-        engine: str = "auto",
-    ):
-        if engine not in ("auto", "generic"):
-            raise ValueError(f"unknown engine {engine!r}")
+    def __init__(self, masks: tuple[int, ...], poset: ComparabilityMatrix):
         self.poset = poset
-        self._index = _FamilyIndex(masks)
-        self._chain: _ChainEngine | None = None
-        self._plan: _SearchPlan | None = None
-        if engine == "auto" and poset.chains is not None:
-            self._chain = _ChainEngine(self._index, poset)
-        else:
-            self._plan = _SearchPlan(poset)
+        engine = _GenericEngine if poset.chains is None else _ChainEngine
+        self._engine = engine(_FamilyIndex(masks), poset)
 
     @property
     def masks(self) -> tuple[int, ...]:
-        return self._index.masks
+        return self._engine.index.masks
 
     def twin_classes(self, n: int) -> list[int]:
         """Masks of the twin classes of [n], ordered by their lowest element.
@@ -765,26 +786,12 @@ class CopySearch:
         ``n`` must be at least the bit length of every member.  Computed
         once per family and shared with the chain engine's ``find``.
         """
-        return self._index.twin_classes(n)
-
-    def _to_embedding(self, by_len: dict[int, list[list[int]]]) -> Embedding:
-        assignment = [0] * self.poset.size
-        for chain in self.poset.chains:
-            path = by_len[len(chain)].pop()
-            for element, mask in zip(chain, path):
-                assignment[element] = mask
-        return Embedding(self.poset, tuple(assignment))
+        return self._engine.index.twin_classes(n)
 
     def find(self, node_budget: int = DEFAULT_NODE_BUDGET) -> Embedding | None:
         """Some induced copy in the family, or None."""
-        budget = [node_budget]
-        if self._chain is not None:
-            by_len = self._chain.find(budget)
-            return None if by_len is None else self._to_embedding(by_len)
-        res = _run(self._index, self._plan, budget, self._plan.domains(self._index))
-        if res is None:
-            return None
-        return Embedding(self.poset, tuple(self.masks[i] for i in res))
+        images = self._engine.find([node_budget])
+        return None if images is None else Embedding(self.poset, images)
 
     def find_containing(
         self, g: int, node_budget: int = DEFAULT_NODE_BUDGET
@@ -793,41 +800,20 @@ class CopySearch:
 
         Raises ValueError if g is already a member.
         """
-        budget = [node_budget]
-        if self._chain is not None:
-            by_len = self._chain.find_containing(g, budget)
-            return None if by_len is None else self._to_embedding(by_len)
-        # Pin g to each poset position in turn; the first copy wins.  The
-        # domains are computed once, and a position whose domain lacks g is
-        # skipped without trying a candidate.
-        ext = self._index.extended(g)
-        g_bit = 1 << len(self.masks)
-        start = self._plan.domains(ext)
-        for pin_pos, dom in enumerate(start):
-            if not dom & g_bit:
-                continue
-            pinned = start[:]
-            pinned[pin_pos] = g_bit
-            res = _run(ext, self._plan, budget, pinned)
-            if res is not None:
-                return Embedding(self.poset, tuple(ext.masks[i] for i in res))
-        return None
+        images = self._engine.find_containing(g, [node_budget])
+        return None if images is None else Embedding(self.poset, images)
 
     def with_member(self, g: int) -> "CopySearch":
-        """Searcher for the family extended by g.
+        """Searcher for the family extended by g, on the same kind of engine.
 
-        Raises ValueError if g is already a member.
-
-        The index grows in O(|F|) and is all the generic engine needs; the
-        chain engine is rebuilt over it.
+        Raises ValueError if g is already a member.  The index grows in
+        O(|F|), and the engine is built over it afresh.
         """
-        # A plain dict copy: copy.copy costs five times as much, and the
-        # exact solver grows a searcher at every accepted prefix.
+        # Not through __init__, which would build the index from scratch;
+        # the exact solver grows a searcher at every accepted prefix.
         out = object.__new__(CopySearch)
-        out.__dict__.update(self.__dict__)
-        out._index = self._index.extended(g)
-        if self._chain is not None:
-            out._chain = _ChainEngine(out._index, self.poset)
+        out.poset = self.poset
+        out._engine = type(self._engine)(self._engine.index.extended(g), self.poset)
         return out
 
 

@@ -197,10 +197,7 @@ def sat_star_exact(
 
     try:
         for size in range(len(incumbent) + 1):
-            # The generic engine: its whole state is the containment index,
-            # which with_member extends in O(|F|) per prefix; the chain
-            # engine would rebuild its interval nodes at every prefix.
-            found = dfs(universe, CopySearch((), poset, engine="generic"), size, 0)
+            found = dfs(universe, CopySearch((), poset), size, 0)
             if found is not None:
                 witness = Family(n, found)
                 if not is_induced_p_free(witness, poset):

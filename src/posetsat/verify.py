@@ -151,13 +151,12 @@ class _Certificates:
     ``room`` lacks it.  So the certificates whose interval admits a set are
     O(n) ORs away, and only those run the ``apart`` check."""
 
-    __slots__ = ("need_has", "room_lacks", "apart", "stored")
+    __slots__ = ("need_has", "room_lacks", "apart")
 
     def __init__(self, n: int):
         self.need_has = [0] * n
         self.room_lacks = [0] * n
         self.apart: list[tuple[int, ...]] = []
-        self.stored = 0
 
     def add(self, cert: tuple[int, int, tuple[int, ...]]) -> None:
         need, room, apart = cert
@@ -168,17 +167,16 @@ class _Certificates:
             if not room >> e & 1:
                 self.room_lacks[e] |= bit
         self.apart.append(apart)
-        self.stored |= bit
 
     def covers(self, g: int) -> bool:
         """Whether a stored copy turns into one in F + {g} that uses g."""
-        if not self.stored:
+        if not self.apart:
             return False
         out_of_interval, rest = 0, g
         for need_has, room_lacks in zip(self.need_has, self.room_lacks):
             out_of_interval |= room_lacks if rest & 1 else need_has
             rest >>= 1
-        fits = self.stored & ~out_of_interval
+        fits = ((1 << len(self.apart)) - 1) & ~out_of_interval
         while fits:
             low = fits & -fits
             fits ^= low

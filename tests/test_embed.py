@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from engines import generic_search
 from oracles import (
     all_families,
     brute_force_chains_through,
@@ -120,8 +121,8 @@ class TestAgainstBruteForce:
         poset = build_poset(spec)
         for masks in all_families(3):
             chains = CopySearch(masks, poset)
-            generic = CopySearch(masks, poset, engine="generic")
-            assert chains._chain is not None
+            generic = generic_search(masks, poset)
+            assert isinstance(chains._engine, _ChainEngine)
             assert (chains.find() is None) == (generic.find() is None), masks
             for g in set(range(8)) - set(masks):
                 a = chains.find_containing(g)
@@ -205,9 +206,9 @@ class TestAgainstBruteForce:
         for masks in random_families(150):
             for poset in chain_posets:
                 chains = CopySearch(masks, poset)
-                assert chains._chain is not None
+                assert isinstance(chains._engine, _ChainEngine)
                 a = chains.find() is not None
-                b = CopySearch(masks, poset, engine="generic").find() is not None
+                b = generic_search(masks, poset).find() is not None
                 assert a == b, (masks, poset.spec)
 
     def test_engines_agree_with_required_member(self):
@@ -215,12 +216,12 @@ class TestAgainstBruteForce:
         P = build_poset("3C2")
         members = set(family.sets)
         chains = CopySearch(family.sets, P)
-        assert chains._chain is not None
+        assert isinstance(chains._engine, _ChainEngine)
         for g in range(1 << 6):
             if g in members:
                 continue
             a = chains.find_containing(g)
-            b = CopySearch(family.sets, P, engine="generic").find_containing(g)
+            b = generic_search(family.sets, P).find_containing(g)
             assert (a is None) == (b is None), g
             for emb in (a, b):
                 if emb is not None:
@@ -233,12 +234,12 @@ class TestAgainstBruteForce:
         P = build_poset("2C3+C1")
         members = set(family.sets)
         chains = CopySearch(family.sets, P)
-        assert chains._chain is not None
+        assert isinstance(chains._engine, _ChainEngine)
         for g in range(1 << 6):
             if g in members:
                 continue
             a = chains.find_containing(g)
-            b = CopySearch(family.sets, P, engine="generic").find_containing(g)
+            b = generic_search(family.sets, P).find_containing(g)
             assert (a is None) == (b is None), g
 
     def test_pinned_search_agrees_with_plain_search(self):
@@ -324,7 +325,7 @@ class TestChainPruning:
     ])
     def test_freeness_within_budget(self, family, spec, budget):
         searcher = CopySearch(family.sets, build_poset(spec))
-        assert searcher._chain is not None
+        assert isinstance(searcher._engine, _ChainEngine)
         assert searcher.find(node_budget=budget) is None
 
     @staticmethod
@@ -353,7 +354,7 @@ class TestChainPruning:
         monkeypatch.setattr(_ChainEngine, "_g_classes", recording)
         checked = 0
         for masks in random_families(12, seed=7):
-            engine = CopySearch(masks, poset)._chain
+            engine = CopySearch(masks, poset)._engine
             for g in range(32):
                 if g in masks:
                     continue
@@ -366,11 +367,16 @@ class TestChainPruning:
                     ends = (chain[0], chain[-1])
                     reach[ends] = max(reach.get(ends, 0), len(chain))
                 for length in lengths:
+                    classes = list(original(length, down_levels, up_levels))
                     tried = [
                         (g if b is None else masks[b], g if t is None else masks[t])
-                        for b, t in original(length, down_levels, up_levels)
+                        for _, b, t in classes
                     ]
                     assert sorted(tried) == sorted(e for e, r in reach.items() if r == length)
+                    # d is the bottom's share of the class: the sets on its
+                    # longest chain up to g, g included.
+                    for (d, _, _), (bottom, _) in zip(classes, tried):
+                        assert d == brute_force_longest_chain(masks + (g,), bottom, g)
                     pools = [self._pool(engine, *ends) for ends in tried]
                     for chain in chains:
                         if len(chain) == length:
@@ -383,9 +389,9 @@ class TestChainPruning:
 class TestIncrementalSearch:
     CHAIN_SPECS = ("2C2", "C3+C1", "3C1")
 
-    @pytest.mark.parametrize("engine", ["auto", "generic"])
-    def test_with_member_matches_fresh_search(self, engine):
-        specs = self.CHAIN_SPECS + (("B2",) if engine == "generic" else ())
+    @pytest.mark.parametrize("make", [CopySearch, generic_search], ids=["auto", "generic"])
+    def test_with_member_matches_fresh_search(self, make):
+        specs = self.CHAIN_SPECS + (("B2",) if make is generic_search else ())
         posets = [build_poset(s) for s in specs]
         for masks in random_families(40):
             absent = [g for g in range(32) if g not in masks]
@@ -393,15 +399,15 @@ class TestIncrementalSearch:
                 continue
             g, probes = absent[len(absent) // 2], absent[::3]
             for poset in posets:
-                fresh = CopySearch(masks + (g,), poset, engine=engine)
+                fresh = make(masks + (g,), poset)
                 # Grown right away, after a search pinned at another subset,
                 # and after one pinned at g itself.
                 for last in (None, absent[0], g):
-                    base = CopySearch(masks, poset, engine=engine)
+                    base = make(masks, poset)
                     if last is not None:
                         base.find_containing(last)
                     grown = base.with_member(g)
-                    assert (grown._chain is not None) == (engine == "auto")
+                    assert isinstance(grown._engine, _ChainEngine) == (make is CopySearch)
                     assert grown.masks == fresh.masks
                     assert grown.find() == fresh.find(), (masks, g, poset.spec)
                     for h in probes:
@@ -409,29 +415,29 @@ class TestIncrementalSearch:
                             assert grown.find_containing(h) == fresh.find_containing(h), (
                                 masks, g, h, poset.spec)
 
-    @pytest.mark.parametrize("engine", ["auto", "generic"])
+    @pytest.mark.parametrize("make", [CopySearch, generic_search], ids=["auto", "generic"])
     @pytest.mark.parametrize("spec", ["C2", "2C1"])
-    def test_member_is_rejected(self, engine, spec):
+    def test_member_is_rejected(self, make, spec):
         poset = build_poset(spec)
         for masks in [(0b01,), (0b01, 0b11, 0b10)]:
-            searcher = CopySearch(masks, poset, engine=engine)
+            searcher = make(masks, poset)
             for g in masks:
                 with pytest.raises(ValueError):
                     searcher.find_containing(g)
                 with pytest.raises(ValueError):
                     searcher.with_member(g)
 
-    @pytest.mark.parametrize("engine", ["auto", "generic"])
-    def test_member_by_member_growth(self, engine):
+    @pytest.mark.parametrize("make", [CopySearch, generic_search], ids=["auto", "generic"])
+    def test_member_by_member_growth(self, make):
         # The pattern greedy completion uses: grow one member at a time.
         family = construct_2ck_c1(6, 3)
         P = build_poset("2C3+C1")
-        searcher = CopySearch((), P, engine=engine)
+        searcher = make((), P)
         for i, g in enumerate(family.sets):
             searcher = searcher.with_member(g)
-            fresh = CopySearch(family.sets[: i + 1], P, engine=engine)
+            fresh = make(family.sets[: i + 1], P)
             assert searcher.find() == fresh.find()
-        assert (searcher._chain is not None) == (engine == "auto")
+        assert isinstance(searcher._engine, _ChainEngine) == (make is CopySearch)
         for g in range(1 << 6):
             if g not in family.sets:
                 assert searcher.find_containing(g) == fresh.find_containing(g), g
@@ -460,8 +466,8 @@ def chain_search_cases(draw):
 def test_engines_agree_on_random_chain_unions(case):
     family, poset = case
     chains = CopySearch(family.sets, poset)
-    generic = CopySearch(family.sets, poset, engine="generic")
-    assert chains._chain is not None
+    generic = generic_search(family.sets, poset)
+    assert isinstance(chains._engine, _ChainEngine)
     a, b = chains.find(), generic.find()
     assert (a is None) == (b is None)
     for emb in (a, b):
@@ -515,7 +521,7 @@ def test_chain_engine_on_block_families(family, spec, data):
     # Twins make find's first picks skip members of a shared orbit.
     poset = build_poset(spec)
     searcher = CopySearch(family.sets, poset)
-    assert searcher._chain is not None
+    assert isinstance(searcher._engine, _ChainEngine)
     assert (searcher.find() is not None) == brute_force_has_copy(family.sets, poset)
     absent = [g for g in range(1 << family.n) if g not in family.sets]
     pins = data.draw(st.lists(st.sampled_from(absent), max_size=2, unique=True)) if absent else []
@@ -533,7 +539,7 @@ def test_find_verdict_survives_relabelling(family, spec, data):
 
     def free(masks):
         searcher = CopySearch(masks, poset)
-        assert searcher._chain is not None
+        assert isinstance(searcher._engine, _ChainEngine)
         return searcher.find() is None
 
     assert free(image) == free(family.sets)
@@ -613,7 +619,7 @@ def test_length_masks_match_brute_force(case, spec):
     # L >= 2 and the family holds a chain of at least L sets from masks[b]
     # up to masks[t].  The nodes are the pairs that host some slot.
     _, masks = case
-    chain = CopySearch(masks, build_poset(spec))._chain
+    chain = CopySearch(masks, build_poset(spec))._engine
     lengths = set(chain.slots)
 
     def hosts(b, t, length):
@@ -637,7 +643,7 @@ def test_clash_sets_match_brute_force(case, spec):
     # whose top contains it, and node (b, t) clashes with nb[t] | nt[b]:
     # exactly the nodes outside the pool of a chain with its end masks.
     _, masks = case
-    chain = CopySearch(masks, build_poset(spec))._chain
+    chain = CopySearch(masks, build_poset(spec))._engine
     nodes = range(len(chain.nodes))
 
     def having(pred):
@@ -680,11 +686,11 @@ def test_order_seed_never_changes_a_verdict(family, spec, seed, data):
             assert require is None or require in emb.assignment
 
 
-def _verdicts(cases, engine="auto"):
-    """find and find_containing verdicts of one engine on each case."""
+def _verdicts(cases, make=CopySearch):
+    """find and find_containing verdicts of one searcher kind on each case."""
     out = []
     for masks, n, poset in cases:
-        searcher = CopySearch(masks, poset, engine=engine)
+        searcher = make(masks, poset)
         out.append(searcher.find() is None)
         out.extend(
             searcher.find_containing(g) is None
@@ -706,11 +712,11 @@ class TestChainEngineLimits:
         # over pairs of nodes limits the engine: it serves 2ck-c1(16,8) /
         # 2C8+C1, with 102,449 interval nodes.
         searcher = CopySearch(construct_2ck_c1(16, 8).sets, build_poset("2C8+C1"))
-        assert searcher._chain is not None
-        assert len(searcher._chain.nodes) == 102_449
+        assert isinstance(searcher._engine, _ChainEngine)
+        assert len(searcher._engine.nodes) == 102_449
 
     def test_generic_engine_keeps_verdicts(self):
-        assert _verdicts(self.CASES, engine="generic") == _verdicts(self.CASES)
+        assert _verdicts(self.CASES, generic_search) == _verdicts(self.CASES)
 
 
 class TestVerifyEmbedding:

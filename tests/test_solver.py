@@ -79,10 +79,13 @@ class TestBehaviour:
     def test_first_witness_pinned(self, spec, n, witness):
         # The first saturated family in the search order.  Reusing freeness
         # tests down a branch skips only prefixes that cannot grow into a
-        # free family of the size tried, so this family does not move.
-        got = sat_star_exact(n, build_poset(spec))
+        # free family of the size tried, so this family does not move.  The
+        # brute force checks it with no search machinery of the package.
+        poset = build_poset(spec)
+        got = sat_star_exact(n, poset)
         assert got.status == "exact"
         assert got.witness.sets == witness
+        assert brute_force_is_saturated(got.witness.sets, n, poset)
 
     def test_budget_overrun_returns_greedy_incumbent(self):
         poset = build_poset("2C2")

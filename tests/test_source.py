@@ -37,3 +37,29 @@ def test_source_imports_no_private_names():
         )
     ]
     assert not found, f"private names imported across modules: {found}"
+
+
+def test_source_defines_no_unused_private_names():
+    # A private helper that a change leaves without callers is dead code:
+    # every _-prefixed function, method or class defined in the package
+    # must be used somewhere in it, as a name, an attribute or an import.
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, SRC
+    trees = [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
+    defined = {}
+    used = set()
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    defined.setdefault(name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.split(".")[-1])
+    unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
+    assert defined, "no private definitions found"
+    assert not unused, f"private names defined but never used: {unused}"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from engines import generic_search
 from oracles import (
     all_families,
     brute_force_greedy_saturate,
@@ -544,7 +545,7 @@ class TestSaturationStopsAtFirstException:
         assert ranks == sorted(set(ranks)) and ranks[-1] == rank
         skipped = [g for g in reps[:rank] if g not in calls]
         assert len(skipped) == 10
-        generic = CopySearch(family.sets, poset, engine="generic")
+        generic = generic_search(family.sets, poset)
         for g in skipped:
             images = generic.find_containing(g).assignment
             assert g in images and set(images) <= set(family.sets) | {g}
