@@ -48,6 +48,23 @@ it, so a new set's relation to every member is O(n) column reads.  It is
 built by adding the members in turn, each in O(|F|), the way a searcher
 grows by a member, and it keeps the family's twin classes, computed once.
 
+A searcher reuses the copies it finds.  Lemma: let X be an induced copy in
+F ∪ {g} that uses g, F′ ⊇ F, and g′ absent from F′.  If g′ stands in the
+same relation to every other image of X as g does (inside g, containing g,
+or apart from it), then X − g + g′ is an induced copy in F′ ∪ {g′}: the
+other images are members of F′ and keep their relations to one another
+and, by the hypothesis, to g′, which is none of them.  With g′ = g, a set
+that completes a copy keeps completing one as the family grows.  The test
+is ``need ⊆ g′ ⊆ room`` and g′ incomparable to each image in ``apart``,
+where ``need`` is the union of the images inside g, ``room`` the
+intersection of those containing g (unbounded when there are none), and
+``apart`` the rest; an image inside g′ is a member and g′ is not, so it
+lies strictly inside.  The triple is a *certificate*.  ``completes``
+stores one for each copy it finds and answers a set that one covers with
+no search; ``with_member`` hands the grown searcher a copy of the store.
+``find`` and ``find_containing`` never read it, so their answers do not
+depend on what was asked before.
+
 Chains of equal length are interchangeable.  The chain engine picks their
 interval nodes in ascending order, which removes a factorial blowup
 without changing whether a copy exists.  The generic engine does not break
@@ -229,6 +246,74 @@ class _FamilyIndex:
                 classes.append(1 << i)
         self._twins = (n, classes)
         return classes
+
+
+class _Certificates:
+    """Certificates of the copies a searcher has found (module docstring),
+    indexed by ground element like ``_FamilyIndex.cols``: ``need_has[e]``
+    and ``room_lacks[e]`` hold the certificates whose ``need`` holds e and
+    whose ``room`` lacks it, ``bounded`` those whose ``room`` is finite.
+    The columns run to the last element of any ``need`` or finite
+    ``room``, so a set holding an element past them fits no bounded one."""
+
+    __slots__ = ("need_has", "room_lacks", "bounded", "apart")
+
+    def __init__(self):
+        self.need_has, self.room_lacks, self.bounded = [], [], 0
+        self.apart: list[tuple[int, ...]] = []
+
+    def copy(self) -> "_Certificates":
+        out = object.__new__(_Certificates)
+        out.need_has, out.room_lacks = self.need_has[:], self.room_lacks[:]
+        out.bounded, out.apart = self.bounded, self.apart[:]
+        return out
+
+    def add(self, g: int, images: tuple[int, ...]) -> None:
+        """Store the certificate of a copy in F + {g} whose images use g;
+        ``room`` is -1, every element, when no image contains g."""
+        need, room, apart = 0, -1, []
+        for m in images:
+            if m == g:
+                continue
+            if m & g == m:
+                need |= m
+            elif m & g == g:
+                room &= m
+            else:
+                apart.append(m)
+        bit = 1 << len(self.apart)
+        grow = max(need, room).bit_length() - len(self.need_has)  # room -1 adds none
+        if grow > 0:  # every bounded certificate's room lacks the new elements
+            self.need_has += [0] * grow
+            self.room_lacks += [self.bounded] * grow
+        for e in range(len(self.need_has)):
+            if need >> e & 1:
+                self.need_has[e] |= bit
+            if not room >> e & 1:
+                self.room_lacks[e] |= bit
+        if room >= 0:
+            self.bounded |= bit
+        self.apart.append(tuple(apart))
+
+    def covers(self, g: int) -> bool:
+        """Whether a stored copy turns into one in F + {g} that uses g."""
+        out_of_interval, rest = 0, g
+        for need_has, room_lacks in zip(self.need_has, self.room_lacks):
+            out_of_interval |= room_lacks if rest & 1 else need_has
+            rest >>= 1
+        if rest:  # g holds an element past every column
+            out_of_interval |= self.bounded
+        fits = ((1 << len(self.apart)) - 1) & ~out_of_interval
+        while fits:
+            low = fits & -fits
+            fits ^= low
+            for a in self.apart[low.bit_length() - 1]:
+                common = g & a
+                if common == g or common == a:
+                    break
+            else:
+                return True
+        return False
 
 
 class _GenericEngine:
@@ -767,14 +852,16 @@ class CopySearch:
     Holds one engine over the family's containment index, picked from the
     target: the chain engine for pure chain-union targets and the generic
     backtracker for every other.  Both answer ``find`` and
-    ``find_containing`` with the images in poset-element order.  A repeated
-    mask raises ValueError.
+    ``find_containing`` with the images in poset-element order; only
+    ``completes`` reads the certificates.  A repeated mask raises
+    ValueError.
     """
 
     def __init__(self, masks: tuple[int, ...], poset: ComparabilityMatrix):
         self.poset = poset
         engine = _GenericEngine if poset.chains is None else _ChainEngine
         self._engine = engine(_FamilyIndex(masks), poset)
+        self._certificates = _Certificates()
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -803,17 +890,32 @@ class CopySearch:
         images = self._engine.find_containing(g, [node_budget])
         return None if images is None else Embedding(self.poset, images)
 
+    def completes(self, g: int, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+        """Whether family + {g}, g not a member (unchecked), has an induced
+        copy that uses g.  A set a stored certificate covers does by the
+        module docstring's lemma, at no search and no budget; any other goes
+        to ``find_containing``, and a copy found is stored."""
+        if self._certificates.covers(g):
+            return True
+        copy = self.find_containing(g, node_budget)
+        if copy is None:
+            return False
+        self._certificates.add(g, copy.assignment)
+        return True
+
     def with_member(self, g: int) -> "CopySearch":
         """Searcher for the family extended by g, on the same kind of engine.
 
         Raises ValueError if g is already a member.  The index grows in
-        O(|F|), and the engine is built over it afresh.
+        O(|F|), and the engine is built over it afresh.  Certificates stay
+        valid in every superfamily; each grown searcher gets its own copy.
         """
         # Not through __init__, which would build the index from scratch;
         # the exact solver grows a searcher at every accepted prefix.
         out = object.__new__(CopySearch)
         out.poset = self.poset
         out._engine = type(self._engine)(self._engine.index.extended(g), self.poset)
+        out._certificates = self._certificates.copy()
         return out
 
 

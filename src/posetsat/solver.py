@@ -10,17 +10,14 @@ sizes are tried in order.  Saturation is only decided on complete
 families; it is not monotone along prefixes, so checking it earlier would
 be unsound.
 
-Completing a copy is monotone.  Lemma: if g completes a copy in F (F + {g}
-has an induced copy that uses g), it completes one in every F' containing
-F with g not in F', because that copy's other images are members of F'.
-So each prefix tests each of its candidates at most once, hands the child
-of a pick only the candidates after it that it found addable, and stops
-picking once fewer remain than the child still needs.  It also hands down the sets
-that it or an ancestor saw complete a copy.  By the lemma each of them
-completes one in the complete family too, so the saturation check searches
-only the other absent sets, on the search's own searcher.  The check is
-exact: the family is free, and every absent set either completes a copy
-by the lemma or is searched.
+Completing a copy is monotone: a set that completes one in a prefix
+completes one in every family the prefix grows into (the lemma in
+``posetsat.embed``).  So each prefix tests each candidate once, through
+``CopySearch.completes``, hands the child of a pick only the addable
+candidates after it, and stops picking once fewer remain than the child
+needs.  The copies found ride along into the child's searcher, so a
+complete family's saturation check, exact by the lemma, searches only the
+absent sets that none of them covers.
 
 Symmetry is removed by orderly generation (Read 1978; McKay 1998).  A
 group G acts on the masks: every permutation of the lowest m = min(n, 6)
@@ -133,12 +130,11 @@ def sat_star_exact(
     candidate set of each prefix, which ``nodes_explored`` counts; the
     saturation checks of complete families are not counted, and each
     embedded copy search gets the default ``DEFAULT_NODE_BUDGET``.  A
-    complete family is free by construction, and a set that completed a
-    copy in one of its prefixes completes one in it (the module docstring's
-    lemma), so its saturation check searches only the other absent sets and
-    stops at the first that completes none.  Exact results carry a witness
-    family that is re-verified (free and exception-free, by a full sweep)
-    before being returned.
+    complete family is free by construction, and its saturation check
+    stops at the first absent set that completes no copy, searching none
+    that a copy found in a prefix covers (the module docstring).  Exact
+    results carry a witness family that is re-verified (free and
+    exception-free, by a full sweep) before being returned.
     """
     if n > DEFAULT_ENUMERATION_CAP:
         raise ValueError(
@@ -154,31 +150,22 @@ def sat_star_exact(
     group = _GroundGroup(n, poset.spec is not None and poset.spec.is_self_dual())
     nodes = 0
 
-    def saturated(search: CopySearch, completes: int) -> bool:
-        # The family is free by construction, and every set in ``completes``
-        # completed a copy in a subfamily, so it completes one here too.
+    def saturated(search: CopySearch) -> bool:  # the family is free by construction
         members = set(search.masks)
-        for g in universe:
-            if completes >> g & 1 or g in members:
-                continue
-            if search.find_containing(g) is None:
-                return False
-        return True
+        return all(g in members or search.completes(g) for g in universe)
 
-    def dfs(cands: list[int], search: CopySearch, left: int, completes: int):
+    def dfs(cands: list[int], search: CopySearch, left: int):
         if left == 0:
-            return search.masks if saturated(search, completes) else None
+            return search.masks if saturated(search) else None
         free: dict[int, bool] = {}  # this prefix's freeness tests, by candidate
 
         def addable(g: int) -> bool:
-            nonlocal nodes, completes
+            nonlocal nodes
             if g not in free:
                 nodes += 1
                 if nodes > node_budget:
                     raise BudgetExceededError("solver node budget exceeded")
-                free[g] = search.find_containing(g) is None
-                if not free[g]:
-                    completes |= 1 << g  # and in every family the prefix grows into
+                free[g] = not search.completes(g)
             return free[g]
 
         for i in range(len(cands) - left + 1):
@@ -190,14 +177,14 @@ def sat_star_exact(
             tail = [c for c in cands[i + 1:] if addable(c)]
             if len(tail) < left - 1:
                 break  # later picks have shorter tails
-            found = dfs(tail, search.with_member(g), left - 1, completes)
+            found = dfs(tail, search.with_member(g), left - 1)
             if found is not None:
                 return found
         return None
 
     try:
         for size in range(len(incumbent) + 1):
-            found = dfs(universe, CopySearch((), poset), size, 0)
+            found = dfs(universe, CopySearch((), poset), size)
             if found is not None:
                 witness = Family(n, found)
                 if not is_induced_p_free(witness, poset):

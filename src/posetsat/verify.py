@@ -24,23 +24,9 @@ classes come from the searcher (``CopySearch.twin_classes``), which
 computes them once per family: its freeness check reads the same classes
 to make its first pick once per orbit of the twin group.
 
-The sweep reuses the copies it finds.  Lemma: let X be an induced copy in
-F ∪ {g} that uses g, and let g′ be absent from F.  If g′ stands in the
-same relation to every other image of X as g does (the image lies inside
-g, contains g, or is apart from it), then X − g + g′ is an induced copy in
-F ∪ {g′} that uses g′.  Proof: the other images keep their relations to
-one another, each keeps its relation to the image at g's place, and g′ is
-no member of F, so the images stay distinct.  The test takes three
-checks: ``need ⊆ g′ ⊆ room`` and g′ incomparable to each image in
-``apart``, where ``need`` is the union of the images inside g, ``room`` the
-intersection of those containing g (all of [n] when there are none), and
-``apart`` the rest; an image inside g′ is a member and g′ is not, so it
-lies strictly inside.  Such a (need, room, apart) triple is a
-*certificate*.  A representative that a stored certificate covers
-completes a copy, exactly and for any target, and needs no search; any
-other is searched, and a copy found becomes a certificate.  The store is
-indexed by ground element (``_Certificates``), so the certificates whose
-interval admits a set are O(n) bitset ORs away.
+The sweep asks ``CopySearch.completes``, which reuses the copies found for
+earlier representatives (the lemma in ``posetsat.embed``): a
+representative that one covers completes a copy and needs no search.
 """
 
 from __future__ import annotations
@@ -143,91 +129,24 @@ def _expand(rep: int, classes: list[int], members: set[int]) -> list[int]:
     return orbit
 
 
-class _Certificates:
-    """The copies a sweep has found, kept as certificates (see the module
-    docstring) and indexed by ground element, the way
-    ``_FamilyIndex.relation_to`` reads its columns: ``need_has[e]`` holds
-    the certificates whose ``need`` holds e, ``room_lacks[e]`` those whose
-    ``room`` lacks it.  So the certificates whose interval admits a set are
-    O(n) ORs away, and only those run the ``apart`` check."""
-
-    __slots__ = ("need_has", "room_lacks", "apart")
-
-    def __init__(self, n: int):
-        self.need_has = [0] * n
-        self.room_lacks = [0] * n
-        self.apart: list[tuple[int, ...]] = []
-
-    def add(self, cert: tuple[int, int, tuple[int, ...]]) -> None:
-        need, room, apart = cert
-        bit = 1 << len(self.apart)
-        for e in range(len(self.need_has)):
-            if need >> e & 1:
-                self.need_has[e] |= bit
-            if not room >> e & 1:
-                self.room_lacks[e] |= bit
-        self.apart.append(apart)
-
-    def covers(self, g: int) -> bool:
-        """Whether a stored copy turns into one in F + {g} that uses g."""
-        if not self.apart:
-            return False
-        out_of_interval, rest = 0, g
-        for need_has, room_lacks in zip(self.need_has, self.room_lacks):
-            out_of_interval |= room_lacks if rest & 1 else need_has
-            rest >>= 1
-        fits = ((1 << len(self.apart)) - 1) & ~out_of_interval
-        while fits:
-            low = fits & -fits
-            fits ^= low
-            for a in self.apart[low.bit_length() - 1]:
-                common = g & a
-                if common == g or common == a:
-                    break
-            else:
-                return True
-        return False
-
-
-def _certificate(g: int, images: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    """(need, room, apart) of a copy in F + {g} that uses g; ``room`` is -1,
-    every element, when no image contains g."""
-    need, room, apart = 0, -1, []
-    for m in images:
-        if m == g:
-            continue
-        if m & g == m:
-            need |= m
-        elif m & g == g:
-            room &= m
-        else:
-            apart.append(m)
-    return need, room, tuple(apart)
-
-
 def _sweep(
     family: Family, searcher: CopySearch, classes: list[int], node_budget: int,
 ) -> Iterator[int]:
     """Yield the absent representatives of a family ``searcher`` found free
     that complete no copy, in canonical order.
 
-    A representative covered by a stored certificate completes a copy;
-    any other is searched, and a copy found becomes a certificate.  A
-    budget overrun raises BudgetExceededError, with ``candidate`` set, at
-    the first representative whose search runs out.
+    Each is asked of ``searcher.completes``, so one that a copy found for
+    an earlier one covers is not searched.  A budget overrun raises
+    BudgetExceededError, with ``candidate`` set, at the first whose search
+    runs out.
     """
-    store = _Certificates(family.n)
     for g in _representatives(classes, set(family.sets)):
-        if store.covers(g):
-            continue
         try:
-            copy = searcher.find_containing(g, node_budget)
+            if searcher.completes(g, node_budget):
+                continue
         except BudgetExceededError:
             raise BudgetExceededError("exception sweep aborted by node budget", candidate=g) from None
-        if copy is None:
-            yield g
-        else:
-            store.add(_certificate(g, copy.assignment))
+        yield g
 
 
 def _exceptions(
@@ -311,25 +230,16 @@ def greedy_saturate(
 
     Each exception is added exactly when the family built so far plus it is
     still free; the result contains the input, sits inside input-plus-
-    exceptions, and has an empty exception set of its own.  A copy found
-    for a rejected exception becomes a certificate: its other images stay
-    members as the family grows, so a later exception it covers completes
-    a copy too (the module docstring's lemma) and is rejected unsearched.
+    exceptions, and has an empty exception set of its own.  Each is asked
+    of ``CopySearch.completes``, so one that a copy found for a rejected
+    one covers is rejected unsearched.
     """
     exc = exceptions(family, poset, node_budget=node_budget, max_ground=max_ground)
     searcher = CopySearch(family.sets, poset)
-    store = _Certificates(family.n)
-    accepted = list(family.sets)
     for g in exc.sets:
-        if store.covers(g):
-            continue
-        copy = searcher.find_containing(g, node_budget)
-        if copy is None:
+        if not searcher.completes(g, node_budget):
             searcher = searcher.with_member(g)
-            accepted.append(g)
-        else:
-            store.add(_certificate(g, copy.assignment))
-    return canonicalize_family(accepted, family.n)
+    return canonicalize_family(searcher.masks, family.n)
 
 
 def verification_report(

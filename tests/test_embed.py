@@ -406,6 +406,7 @@ class TestIncrementalSearch:
                     base = make(masks, poset)
                     if last is not None:
                         base.find_containing(last)
+                        base.completes(last)  # stores a copy, which grown carries
                     grown = base.with_member(g)
                     assert isinstance(grown._engine, _ChainEngine) == (make is CopySearch)
                     assert grown.masks == fresh.masks
@@ -441,6 +442,59 @@ class TestIncrementalSearch:
         for g in range(1 << 6):
             if g not in family.sets:
                 assert searcher.find_containing(g) == fresh.find_containing(g), g
+
+
+@st.composite
+def completes_runs(draw):
+    """A family over [n], n <= 5, a target, and steps: each names a searcher
+    made so far by position, grows it by a set or asks it about one."""
+    n = draw(st.integers(1, 5))
+    subsets = st.integers(0, (1 << n) - 1)
+    masks = tuple(draw(st.lists(subsets, unique=True, max_size=8)))
+    spec = draw(st.sampled_from(ORACLE_SPECS + ["3C1", "C3+C1", "B2", "B2-"]))
+    steps = draw(st.lists(st.tuples(st.integers(0, 7), st.booleans(), subsets), min_size=8, max_size=32))
+    return masks, build_poset(spec), steps
+
+
+class TestCompletes:
+    @settings(max_examples=300, deadline=None)
+    @given(completes_runs())
+    def test_matches_brute_force_as_searchers_grow(self, run):
+        # Each searcher carries the copies found before it grew, and its
+        # siblings never see each other's: every answer must stay exact.
+        masks, poset, steps = run
+        searchers = [CopySearch(masks, poset)]
+        for pick, grow, g in steps:
+            searcher = searchers[pick % len(searchers)]
+            if g in searcher.masks:
+                continue
+            if grow:
+                searchers.append(searcher.with_member(g))
+            else:
+                want = brute_force_has_copy(searcher.masks + (g,), poset, require=g)
+                assert searcher.completes(g) is want, (searcher.masks, g, poset.spec)
+
+    def test_carried_copy_answers_unsearched(self, monkeypatch):
+        # In {{1}}, {1, 2} completes a C2 whose other image, {1}, lies
+        # inside {1, 3} too.  The searcher grown by {2} after that copy was
+        # found answers {1, 3} with no search; one grown before it searches.
+        n = 3
+        one, two, one_two, one_three = (mask_of(s, n) for s in ([1], [2], [1, 2], [1, 3]))
+        searched = []
+        original = CopySearch.find_containing
+
+        def counting(self, g, *args, **kwargs):
+            searched.append(g)
+            return original(self, g, *args, **kwargs)
+
+        monkeypatch.setattr(CopySearch, "find_containing", counting)
+        base = CopySearch((one,), C2)
+        early = base.with_member(two)
+        assert base.completes(one_two) and searched == [one_two]
+        grown = base.with_member(two)
+        assert grown.completes(one_three) and searched == [one_two]
+        assert early.completes(one_three) and searched == [one_two, one_three]
+        assert brute_force_has_copy((one, two, one_three), C2, require=one_three)
 
 
 @st.composite

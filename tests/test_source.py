@@ -63,3 +63,16 @@ def test_source_defines_no_unused_private_names():
     unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
     assert defined, "no private definitions found"
     assert not unused, f"private names defined but never used: {unused}"
+
+
+def test_pinned_verdicts_go_through_completes():
+    # Whether a set completes a copy is asked of CopySearch.completes, the
+    # one place that reuses copies found before; a pinned search called
+    # from the sweep or the solver would bypass it.
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("verify.py", "solver.py")
+        for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name))
+        if isinstance(node, ast.Attribute) and node.attr == "find_containing"
+    ]
+    assert not found, f"pinned searches outside CopySearch.completes: {found}"

@@ -24,13 +24,13 @@ from posetsat.embed import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     CopySearch,
+    _Certificates,
     _FamilyIndex,
     find_induced_copy,
 )
 from posetsat.posetspec import build_poset
 from posetsat.setfam import Family, canonicalize_family, complement_family, mask_of
 from posetsat.verify import (
-    _Certificates,
     _representatives,
     exceptions,
     greedy_saturate,
@@ -626,7 +626,7 @@ class TestTwinFreeChain:
 
 
 def covered_sets(monkeypatch, run):
-    """The subsets the sweep's certificate store reports as covered while
+    """The subsets a searcher's certificate store reports as covered while
     ``run`` runs."""
     covered = []
     original = _Certificates.covers
@@ -708,15 +708,27 @@ class TestCertificates:
         assert len(_representatives(twin_classes(family), set(family.sets))) == 2255
 
     def test_store_decides_by_relation(self):
-        # One certificate: need {1}, room {1, 2, 4, 5}, one image {4} apart.
-        # {1, 5} and {1, 2, 5} pass all three checks; {2, 5} fails only
-        # need, {1, 3} only room, and {1, 2, 4} only apart.
-        n = 5
-        store = _Certificates(n)
+        # One certificate, from a copy through {1, 2}: need {1}, room
+        # {1, 2, 4, 5}, one image {4} apart.  {1, 5} and {1, 2, 5} pass all
+        # three checks; {2, 5} fails only need, {1, 3} only room, and
+        # {1, 2, 4} only apart.  {1, 6} holds an element past every column,
+        # so it lies outside that finite room.
+        n = 6
+        store = _Certificates()
         assert not store.covers(mask_of([1, 5], n))
-        store.add((mask_of([1], n), mask_of([1, 2, 4, 5], n), (mask_of([4], n),)))
+        g = mask_of([1, 2], n)
+        store.add(g, (mask_of([1], n), g, mask_of([1, 2, 4, 5], n), mask_of([4], n)))
         for sets, want in (([1, 5], True), ([1, 2, 5], True), ([2, 5], False),
-                           ([1, 3], False), ([1, 2, 4], False)):
+                           ([1, 3], False), ([1, 2, 4], False), ([1, 6], False)):
+            assert store.covers(mask_of(sets, n)) is want, sets
+        # A second one, from a copy through {1, 3, 6} with no image
+        # containing it: need {1, 6}, one image {2} apart.  It covers
+        # {1, 6}.  Its need grows the columns to 6, and the first room
+        # still lacks 6, so {1, 2, 6}, which fails the second's apart
+        # check, is covered by neither.
+        g = mask_of([1, 3, 6], n)
+        store.add(g, (mask_of([1, 6], n), g, mask_of([2], n)))
+        for sets, want in (([1, 6], True), ([1, 2, 6], False), ([1, 5], True)):
             assert store.covers(mask_of(sets, n)) is want, sets
 
     @settings(max_examples=25, deadline=None)
