@@ -1,23 +1,27 @@
 """Exact minimum size of an induced-saturated family at tiny ground size.
 
-Iterative deepening on the family size s = 0, 1, 2, ...: for each s a
-depth-first search runs over subsets of 2^[n] in canonical order, adding
-only sets that complete no induced copy of the target (a prefix with a
-copy can never extend to a free family), so every complete size-s family
-is free by construction.  It is accepted iff it is saturated, a check that
-stops at its first exception; the first acceptance is optimal because the
-sizes are tried in order.  Saturation is only decided on complete
-families; it is not monotone along prefixes, so checking it earlier would
-be unsound.
+One depth-first branch-and-bound pass (Land & Doig 1960) over subsets of
+2^[n] in canonical order.  A prefix adds only sets that complete no
+induced copy of the target (a prefix with a copy never extends to a free
+family), so every family it reaches is free by construction.  Completing
+a copy is monotone: a set that completes one in a prefix completes one in
+every family the prefix grows into (the lemma in ``posetsat.embed``).  So
+each prefix tests each candidate after its last pick once, through
+``CopySearch.completes``, and the addable ones form its tail, its
+children's candidates.  A set in the tail is an exception, so only a
+prefix with an empty tail can be saturated; saturation is not monotone
+along prefixes, so it is checked only there.  The check stops at its first
+exception, and skips every absent set that a copy found above it covers:
+the copies ride along into each child's searcher.
 
-Completing a copy is monotone: a set that completes one in a prefix
-completes one in every family the prefix grows into (the lemma in
-``posetsat.embed``).  So each prefix tests each candidate once, through
-``CopySearch.completes``, hands the child of a pick only the addable
-candidates after it, and stops picking once fewer remain than the child
-needs.  The copies found ride along into the child's searcher, so a
-complete family's saturation check, exact by the lemma, searches only the
-absent sets that none of them covers.
+The least size found so far bounds the pass, starting one above the
+greedy incumbent: a child is entered only while it would be smaller
+(checked before each child, as an earlier sibling may have lowered the
+bound), and a prefix at the bound only asks whether its tail is empty.
+Pre-order over a canonically ordered universe visits the families of one
+size in lexicographic order of their canonical keys, and the bound cuts
+no family below it, so the family kept is the first saturated one of the
+least size.
 
 Symmetry is removed by orderly generation (Read 1978; McKay 1998).  A
 group G acts on the masks: every permutation of the lowest m = min(n, 6)
@@ -128,13 +132,12 @@ def sat_star_exact(
 
     ``node_budget`` caps the outer search's freeness tests, one per
     candidate set of each prefix, which ``nodes_explored`` counts; the
-    saturation checks of complete families are not counted, and each
-    embedded copy search gets the default ``DEFAULT_NODE_BUDGET``.  A
-    complete family is free by construction, and its saturation check
-    stops at the first absent set that completes no copy, searching none
-    that a copy found in a prefix covers (the module docstring).  Exact
-    results carry a witness family that is re-verified (free and
-    exception-free, by a full sweep) before being returned.
+    saturation checks of prefixes with an empty tail are not counted, and
+    each embedded copy search gets the default ``DEFAULT_NODE_BUDGET``.
+    One bounded depth-first pass (the module docstring) returns the
+    lexicographically first saturated family of the least size.  Exact
+    results carry that witness, re-verified (free and exception-free, by a
+    full sweep) before being returned.
     """
     if n > DEFAULT_ENUMERATION_CAP:
         raise ValueError(
@@ -148,54 +151,45 @@ def sat_star_exact(
 
     universe = sorted(range(1 << n), key=canonical_key)
     group = _GroundGroup(n, poset.spec is not None and poset.spec.is_self_dual())
-    nodes = 0
+    nodes, best, found = 0, len(incumbent) + 1, None  # only families below best are kept
 
     def saturated(search: CopySearch) -> bool:  # the family is free by construction
         members = set(search.masks)
         return all(g in members or search.completes(g) for g in universe)
 
-    def dfs(cands: list[int], search: CopySearch, left: int):
-        if left == 0:
-            return search.masks if saturated(search) else None
-        free: dict[int, bool] = {}  # this prefix's freeness tests, by candidate
-
-        def addable(g: int) -> bool:
-            nonlocal nodes
-            if g not in free:
-                nodes += 1
-                if nodes > node_budget:
-                    raise BudgetExceededError("solver node budget exceeded")
-                free[g] = not search.completes(g)
-            return free[g]
-
-        for i in range(len(cands) - left + 1):
-            g = cands[i]
-            if not addable(g):
-                continue  # prefix would already contain a copy
-            if not group.is_least(search.masks + (g,)):
-                continue  # another member of the prefix's orbit comes first
-            tail = [c for c in cands[i + 1:] if addable(c)]
-            if len(tail) < left - 1:
-                break  # later picks have shorter tails
-            found = dfs(tail, search.with_member(g), left - 1)
-            if found is not None:
-                return found
-        return None
+    def dfs(cands: list[int], search: CopySearch) -> None:
+        nonlocal nodes, best, found
+        tail, size = [], len(search.masks)  # the candidates this prefix can still add
+        for g in cands:
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceededError("solver node budget exceeded")
+            if not search.completes(g):
+                tail.append(g)
+                if size + 1 >= best:
+                    break  # at the bound: no child, and one exception rules this prefix out
+        if not tail:  # entered below the bound, so smaller than the best found
+            if saturated(search):
+                best, found = size, search.masks
+            return
+        for i, g in enumerate(tail):
+            if size + 1 >= best:
+                return  # an earlier child may have lowered the bound
+            if group.is_least(search.masks + (g,)):
+                dfs(tail[i + 1:], search.with_member(g))
 
     try:
-        for size in range(len(incumbent) + 1):
-            found = dfs(universe, CopySearch((), poset), size)
-            if found is not None:
-                witness = Family(n, found)
-                if not is_induced_p_free(witness, poset):
-                    raise AssertionError("solver witness contains a copy of the target")
-                if len(exceptions(witness, poset)) != 0:
-                    raise AssertionError("solver witness is not saturated")
-                return SolveResult("exact", size, witness, nodes)
+        dfs(universe, CopySearch((), poset))
     except BudgetExceededError:
         return SolveResult("budget_exceeded", len(incumbent), incumbent, nodes)
-    # The greedy incumbent is saturated, so the loop must return by then.
-    raise AssertionError("search exhausted sizes without finding the incumbent")
+    if found is None:  # the greedy incumbent is saturated, so the pass finds one no larger
+        raise AssertionError("search found no family as small as the incumbent")
+    witness = Family(n, found)
+    if not is_induced_p_free(witness, poset):
+        raise AssertionError("solver witness contains a copy of the target")
+    if len(exceptions(witness, poset)) != 0:
+        raise AssertionError("solver witness is not saturated")
+    return SolveResult("exact", best, witness, nodes)
 
 
 def solve_result_to_json(result: SolveResult) -> dict:

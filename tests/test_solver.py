@@ -10,7 +10,7 @@ from oracles import (
     brute_force_sat_star,
 )
 from posetsat.posetspec import build_poset
-from posetsat.setfam import Family, canonicalize_family, mask_of
+from posetsat.setfam import Family, canonical_key, canonicalize_family, mask_of
 from posetsat.solver import _GroundGroup, sat_star_exact, solve_result_to_json
 from posetsat.verify import exceptions, greedy_saturate, is_induced_p_free, is_saturated
 
@@ -29,6 +29,17 @@ class TestAgainstFullEnumeration:
         assert len(got.witness) == want_value
         assert is_saturated(got.witness, poset)
         assert brute_force_is_saturated(got.witness.sets, n, poset)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_witness_is_first_least_family(self, n, spec):
+        # The witness is the lexicographically first saturated family of the
+        # least size, families compared by their tuples of canonical keys.
+        # Found here over every family, with no search code of the package.
+        poset = build_poset(spec)
+        saturated = (m for m in all_families(n) if brute_force_is_saturated(m, n, poset))
+        want = min(saturated, key=lambda m: (len(m), tuple(map(canonical_key, m))))
+        assert sat_star_exact(n, poset).witness.sets == want
 
 
 class TestExamples:
@@ -77,9 +88,10 @@ class TestBehaviour:
         ],
     )
     def test_first_witness_pinned(self, spec, n, witness):
-        # The first saturated family in the search order.  Reusing freeness
-        # tests down a branch skips only prefixes that cannot grow into a
-        # free family of the size tried, so this family does not move.  The
+        # The first saturated family of the least size in the search order.
+        # Reusing freeness tests down a branch skips only prefixes that cannot
+        # grow into a free family, and the size bound skips only families no
+        # smaller than one already found, so this family does not move.  The
         # brute force checks it with no search machinery of the package.
         poset = build_poset(spec)
         got = sat_star_exact(n, poset)
@@ -93,6 +105,7 @@ class TestBehaviour:
         exact = sat_star_exact(4, poset)
         assert exact.status == "exact"
         last = exact.nodes_explored
+        assert last > 600  # so every budget below stops the search
         assert sat_star_exact(4, poset, node_budget=last) == exact
         for budget in (0, 1, 2, 7, 30, 100, 600, last - 1):
             got = sat_star_exact(4, poset, node_budget=budget)
@@ -193,9 +206,22 @@ class TestOrderlyFilter:
 
     def test_maximal_chain_at_six_points(self):
         # A family saturated for two incomparable points is a maximal chain.
-        got = sat_star_exact(6, build_poset("2C1"))
+        poset = build_poset("2C1")
+        got = sat_star_exact(6, poset)
         assert got.status == "exact"
         assert got.value == 7
+        assert brute_force_is_saturated(got.witness.sets, 6, poset)
+
+    @pytest.mark.parametrize(
+        "spec,n,want",
+        [("B2", 5, 6), ("B2-", 5, 6), ("3C1", 5, 10), ("C2+C1", 6, 4), ("C3", 6, 2)],
+    )
+    def test_five_and_six_point_values(self, spec, n, want):
+        poset = build_poset(spec)
+        got = sat_star_exact(n, poset)
+        assert got.status == "exact"
+        assert got.value == want
+        assert brute_force_is_saturated(got.witness.sets, n, poset)
 
     def test_subgroup_past_six_points(self):
         # At n = 12 the group permutes only the lowest six elements: a
