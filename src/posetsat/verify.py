@@ -27,6 +27,11 @@ to make its first pick once per orbit of the twin group.
 The sweep asks ``CopySearch.completes``, which reuses the copies found for
 earlier representatives (the lemma in ``posetsat.embed``): a
 representative that one covers completes a copy and needs no search.
+
+Every verdict comes from one set-up, ``_free_searcher`` (searcher, twin
+classes, freeness, then the ground cap ``max_ground``), and one drain,
+``_sweep``.  The cap bounds the 2^n sweep, not the freeness check, so a
+family with a copy is reported as such at any n.
 """
 
 from __future__ import annotations
@@ -81,20 +86,6 @@ def is_induced_p_free(
     return find_induced_copy(family, poset, node_budget=node_budget) is None
 
 
-def _is_free(searcher: CopySearch, node_budget: int) -> bool:
-    """The freeness check of a sweep, on the searcher the sweep reuses."""
-    return searcher.find(node_budget) is None
-
-
-def _check_ground(family: Family, max_ground: int) -> None:
-    if family.n > max_ground:
-        raise ValueError(
-            f"exception sweep over 2^{family.n} subsets exceeds the cap of "
-            f"n <= {max_ground}; pass a larger max_ground (--max-n on the "
-            "command line) to override"
-        )
-
-
 def _singletons(cls: int) -> list[int]:
     """The one-element masks of a class, lowest first."""
     return [1 << i for i in range(cls.bit_length()) if cls >> i & 1]
@@ -129,40 +120,49 @@ def _expand(rep: int, classes: list[int], members: set[int]) -> list[int]:
     return orbit
 
 
-def _sweep(
-    family: Family, searcher: CopySearch, classes: list[int], node_budget: int,
-) -> Iterator[int]:
-    """Yield the absent representatives of a family ``searcher`` found free
-    that complete no copy, in canonical order.
+def _free_searcher(
+    family: Family, poset: ComparabilityMatrix, node_budget: int, max_ground: int,
+) -> CopySearch | None:
+    """The set-up of every sweep (module docstring): the family's searcher,
+    or None when the family holds a copy."""
+    searcher = CopySearch(family.sets, poset)
+    searcher.twin_classes(family.n)  # the freeness check reads them
+    if searcher.find(node_budget) is not None:
+        return None
+    if family.n > max_ground:
+        raise ValueError(
+            f"exception sweep over 2^{family.n} subsets exceeds the cap of "
+            f"n <= {max_ground}; pass a larger max_ground (--max-n on the "
+            "command line) to override"
+        )
+    return searcher
 
-    Each is asked of ``searcher.completes``, so one that a copy found for
-    an earlier one covers is not searched.  A budget overrun raises
-    BudgetExceededError, with ``candidate`` set, at the first whose search
-    runs out.
+
+def _sweep(family: Family, searcher: CopySearch, node_budget: int) -> Iterator[int]:
+    """Yield the exceptions of a family ``searcher`` found free, one
+    representative's whole orbit at a time, representatives in canonical
+    order.
+
+    Each representative is asked of ``searcher.completes``, so one that a
+    copy found for an earlier one covers is not searched.  A budget overrun
+    raises BudgetExceededError at the first representative whose search
+    runs out, carrying it (``candidate``) and the orbits yielded before it
+    (``partial``).
     """
-    for g in _representatives(classes, set(family.sets)):
+    classes = searcher.twin_classes(family.n)
+    members = set(family.sets)
+    swept: list[int] = []
+    for g in _representatives(classes, members):
         try:
             if searcher.completes(g, node_budget):
                 continue
         except BudgetExceededError:
-            raise BudgetExceededError("exception sweep aborted by node budget", candidate=g) from None
-        yield g
-
-
-def _exceptions(
-    family: Family, searcher: CopySearch, classes: list[int], node_budget: int,
-) -> Family:
-    """Drain the sweep into the union of the orbits of its non-completing
-    representatives; a budget overrun carries those swept before it."""
-    members = set(family.sets)
-    out: list[int] = []
-    try:
-        for g in _sweep(family, searcher, classes, node_budget):
-            out += _expand(g, classes, members)
-    except BudgetExceededError as err:
-        err.partial = canonicalize_family(out, family.n)
-        raise
-    return canonicalize_family(out, family.n)
+            partial = canonicalize_family(swept, family.n)
+            raise BudgetExceededError("exception sweep aborted by node budget",
+                                      partial, g) from None
+        orbit = _expand(g, classes, members)
+        swept += orbit
+        yield from orbit
 
 
 def exceptions(
@@ -187,12 +187,10 @@ def exceptions(
     not searched.  ``workers`` is accepted and ignored: the sweep runs in
     this process.
     """
-    _check_ground(family, max_ground)
-    searcher = CopySearch(family.sets, poset)
-    classes = searcher.twin_classes(family.n)  # before the freeness check, which reads them
-    if not _is_free(searcher, node_budget):
+    searcher = _free_searcher(family, poset, node_budget, max_ground)
+    if searcher is None:
         raise ValueError("family already contains an induced copy of the target")
-    return _exceptions(family, searcher, classes, node_budget)
+    return canonicalize_family(_sweep(family, searcher, node_budget), family.n)
 
 
 def is_saturated(
@@ -211,12 +209,8 @@ def is_saturated(
     freeness is undecided or the search of a representative before the
     first exception in canonical order runs out.
     """
-    searcher = CopySearch(family.sets, poset)
-    classes = searcher.twin_classes(family.n)  # before the freeness check, which reads them
-    if not _is_free(searcher, node_budget):
-        return False
-    _check_ground(family, max_ground)
-    return next(_sweep(family, searcher, classes, node_budget), None) is None
+    searcher = _free_searcher(family, poset, node_budget, max_ground)
+    return searcher is not None and next(_sweep(family, searcher, node_budget), None) is None
 
 
 def greedy_saturate(
@@ -231,11 +225,14 @@ def greedy_saturate(
     Each exception is added exactly when the family built so far plus it is
     still free; the result contains the input, sits inside input-plus-
     exceptions, and has an empty exception set of its own.  Each is asked
-    of ``CopySearch.completes``, so one that a copy found for a rejected
-    one covers is rejected unsearched.
+    of the sweep's own searcher, grown as the family grows, so one that a
+    copy found for a rejected one covers is rejected unsearched; the
+    sweep's copies cover no exception, only sets that complete one in F.
     """
-    exc = exceptions(family, poset, node_budget=node_budget, max_ground=max_ground)
-    searcher = CopySearch(family.sets, poset)
+    searcher = _free_searcher(family, poset, node_budget, max_ground)
+    if searcher is None:
+        raise ValueError("family already contains an induced copy of the target")
+    exc = canonicalize_family(_sweep(family, searcher, node_budget), family.n)
     for g in exc.sets:
         if not searcher.completes(g, node_budget):
             searcher = searcher.with_member(g)
@@ -260,18 +257,15 @@ def verification_report(
     poset = build_poset(poset_text)
     poset_name = render_poset_spec(poset.spec)
     empty = Family(family.n, ())
-    searcher = CopySearch(family.sets, poset)
-    classes = searcher.twin_classes(family.n)  # before the freeness check, which reads them
     try:
-        free = _is_free(searcher, node_budget)
+        searcher = _free_searcher(family, poset, node_budget, max_ground)
     except BudgetExceededError:
         return VerificationReport(poset_name, len(family), None, 0, empty, True)
-    if not free:
-        return VerificationReport(poset_name, len(family), free, 0, empty, False)
-    _check_ground(family, max_ground)
+    if searcher is None:
+        return VerificationReport(poset_name, len(family), False, 0, empty, False)
     try:
-        exc = _exceptions(family, searcher, classes, node_budget)
-    except BudgetExceededError as err:  # _exceptions attaches the partial Family
+        exc = canonicalize_family(_sweep(family, searcher, node_budget), family.n)
+    except BudgetExceededError as err:  # the sweep attaches the partial Family
         return VerificationReport(
             poset_name, len(family), True, len(err.partial), err.partial, True
         )

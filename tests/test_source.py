@@ -76,3 +76,18 @@ def test_pinned_verdicts_go_through_completes():
         if isinstance(node, ast.Attribute) and node.attr == "find_containing"
     ]
     assert not found, f"pinned searches outside CopySearch.completes: {found}"
+
+
+def test_verify_builds_searchers_at_one_site():
+    # Every sweep is set up in one place (searcher, twin classes, freeness,
+    # then the ground cap); a second construction in verify.py would copy
+    # that set-up out again.
+    tree = ast.parse((SRC / "verify.py").read_text(), filename="verify.py")
+    sites = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "CopySearch"
+    ]
+    assert len(sites) == 1, f"CopySearch constructed in verify.py at lines {sites}"

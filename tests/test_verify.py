@@ -30,6 +30,7 @@ from posetsat.embed import (
 )
 from posetsat.posetspec import build_poset
 from posetsat.setfam import Family, canonicalize_family, complement_family, mask_of
+from posetsat.solver import sat_star_exact
 from posetsat.verify import (
     _representatives,
     exceptions,
@@ -45,6 +46,12 @@ C2 = build_poset("C2")
 
 def fam(n, *sets):
     return canonicalize_family([mask_of(s, n) for s in sets], n)
+
+
+def assume_free(monkeypatch):
+    """Stub the freeness check that opens every sweep, so that budgets too
+    small for it reach the sweep."""
+    monkeypatch.setattr(CopySearch, "find", lambda *a, **k: None)
 
 
 class TestFreeness:
@@ -98,33 +105,22 @@ class TestExceptions:
         got = exceptions(Family(17, ()), build_poset("C1"), max_ground=17)
         assert len(got) == 0
 
-    def test_partial_results_attached_on_budget_abort(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "n,kwargs", [(5, {}), (7, {"workers": 2})], ids=["b3(5)", "b3(7)-workers=2"]
+    )
+    def test_partial_results_attached_on_budget_abort(self, monkeypatch, n, kwargs):
         # Freeness costs more nodes than any single inner search here, so
         # skip the guard to reach the sweep with a budget the inner
         # searches cannot meet.  The family is saturated, so every
         # representative completes a copy, and an 8-element B3 copy with
         # one pinned element needs at least 7 candidate attempts: a budget
         # of 5 overruns in any engine.  No copy has been found before the
-        # first representative, so it is searched and runs out.
-        import posetsat.verify as verify_mod
-
-        monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
-        family = construct_b3(5)
+        # first representative, so it is searched and runs out.  The
+        # ``workers`` keyword is accepted and ignored.
+        assume_free(monkeypatch)
+        family = construct_b3(n)
         with pytest.raises(BudgetExceededError) as err:
-            exceptions(family, build_poset("B3"), node_budget=5)
-        assert isinstance(err.value.partial, Family)
-        assert len(err.value.partial) == 0
-        assert err.value.candidate == _representatives(twin_classes(family), set(family.sets))[0]
-
-    def test_pooled_sweep_attaches_partial_results(self, monkeypatch):
-        # As above on b3(7), passing the ``workers`` keyword that
-        # ``exceptions`` accepts and ignores.
-        import posetsat.verify as verify_mod
-
-        monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
-        family = construct_b3(7)
-        with pytest.raises(BudgetExceededError) as err:
-            exceptions(family, build_poset("B3"), node_budget=5, workers=2)
+            exceptions(family, build_poset("B3"), node_budget=5, **kwargs)
         assert isinstance(err.value.partial, Family)
         assert len(err.value.partial) == 0
         assert err.value.candidate == _representatives(twin_classes(family), set(family.sets))[0]
@@ -284,9 +280,7 @@ class TestReport:
         assert report.budget_exceeded
 
     def test_report_budget_exceeded_partial_sweep(self, monkeypatch):
-        import posetsat.verify as verify_mod
-
-        monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
+        assume_free(monkeypatch)
         # b3(5) is saturated and a pinned B3 copy needs at least 7 candidate
         # attempts, so a budget of 5 overruns in the sweep in any engine, at
         # its first representative, which no earlier copy can cover.
@@ -504,6 +498,59 @@ class TestOneFreenessSearch:
             run()
             assert calls == [family.sets]
 
+    @staticmethod
+    def counted(monkeypatch, run):
+        """(``CopySearch`` constructions, ``find`` calls) while ``run`` runs;
+        ``with_member`` builds no searcher through the constructor."""
+        counts = [0, 0]
+        init, find = CopySearch.__init__, CopySearch.find
+
+        def counting_init(self, *args, **kwargs):
+            counts[0] += 1
+            init(self, *args, **kwargs)
+
+        def counting_find(self, *args, **kwargs):
+            counts[1] += 1
+            return find(self, *args, **kwargs)
+
+        monkeypatch.setattr(CopySearch, "__init__", counting_init)
+        monkeypatch.setattr(CopySearch, "find", counting_find)
+        run()
+        return tuple(counts)
+
+    def test_greedy_grows_the_sweeps_searcher(self, monkeypatch):
+        # mck(8,2,3) has exceptions against 2C3, so the family grows, and it
+        # grows on the searcher that checked freeness and swept.
+        family, poset = construct_mck(8, 2, 3), build_poset("2C3")
+        got = self.counted(monkeypatch, lambda: greedy_saturate(family, poset))
+        assert got == (1, 1)
+
+    def test_solver_witness_check_searches_freeness_once(self, monkeypatch):
+        # Searchers: the greedy incumbent's, the depth-first pass's root and
+        # the witness check's; the first and the last check freeness.
+        got = self.counted(monkeypatch, lambda: sat_star_exact(3, build_poset("2C1")))
+        assert got == (3, 2)
+
+
+class TestCapRule:
+    # The ground cap bounds the 2^n sweep, not the freeness check, so every
+    # entry checks it after freeness: a family with a copy is reported as
+    # such at any n, and only a free family past the cap is refused.
+    def test_family_with_copy_is_reported_past_the_cap(self):
+        family = fam(17, [1], [1, 2])
+        for run in (exceptions, greedy_saturate):
+            with pytest.raises(ValueError, match="already contains an induced copy"):
+                run(family, C2)
+        assert is_saturated(family, C2) is False
+        assert verification_report(family, "C2").is_free is False
+
+    def test_free_family_past_the_cap_is_refused(self):
+        family = fam(17, [1])
+        for run in (exceptions, greedy_saturate, is_saturated,
+                    lambda family, _poset: verification_report(family, "C2")):
+            with pytest.raises(ValueError, match="max_ground"):
+                run(family, C2)
+
 
 class TestSaturationStopsAtFirstException:
     @pytest.fixture
@@ -580,9 +627,7 @@ class TestTwinFreeChain:
 
     @pytest.fixture
     def unchecked(self, monkeypatch):
-        import posetsat.verify as verify_mod
-
-        monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
+        assume_free(monkeypatch)
 
     def test_chain_is_twin_free(self):
         assert class_sizes(chain_family(7)) == [1] * 7
@@ -741,13 +786,11 @@ class TestCertificates:
         # cut before the candidate's orbit, the candidate only moves later,
         # and ``is_saturated``, which runs a prefix of the same loop, either
         # gives the full verdict or runs out at the same candidate.
-        import posetsat.verify as verify_mod
-
         family, poset = family_poset
         classes = twin_classes(family)
         reps = _representatives(classes, set(family.sets))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(verify_mod, "_is_free", lambda *a, **k: True)
+            assume_free(mp)
             full = exceptions(family, poset)
             saturated = is_saturated(family, poset)
             reached = 0
@@ -774,9 +817,7 @@ class TestCertificates:
         # exceptions, though three of the sets that earlier copies cover
         # would run out of budget if searched: a covered set is never
         # searched, so it cannot end the sweep.
-        import posetsat.verify as verify_mod
-
-        monkeypatch.setattr(verify_mod, "_is_free", lambda *a, **k: True)
+        assume_free(monkeypatch)
         family = canonicalize_family(
             [10, 34, 40, 7, 13, 42, 50, 56, 69, 112, 43, 46, 57, 77, 120, 107], 7
         )
