@@ -35,11 +35,16 @@ order.  A ``CopySearch`` holds one of them, picked from its target:
   member g tries, for g's own chain, only the endpoint classes whose
   longest chain through g has exactly the chain's length: any longer class
   can step an end towards g and only widen its pool.  A search for any
-  copy makes its first pick once per orbit of the family's twin group.
-  This is what makes exhaustive negative verdicts (freeness proofs,
-  exception sweeps) fast on families full of long chains.  A node's
-  clashes are read from two rows per member, with no table over pairs of
-  nodes, so it has no cap on their number.
+  copy makes its first pick once per orbit of the family's twin group,
+  judged by the node's top.  This is what makes exhaustive negative
+  verdicts (freeness proofs, exception sweeps) fast on families full of
+  long chains.  A node's clashes are read from two rows per member, with
+  no table over pairs of nodes, so it has no cap on their number.  Nodes
+  are ordered by (top, bottom).  A member that lies under no other member
+  is the top of every chain through it, so adding it adds only nodes whose
+  top it is, and they come last: the engine grows by appending them, with
+  no rebuild.  Members added in canonical order (by size, then value) are
+  all such members, as the exact solver adds them.
 
 Both engines read one containment index of the family: for each member,
 the members above it and those below it, as bitsets over family indices
@@ -80,6 +85,7 @@ distinct from "no copy".
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .posetspec import ComparabilityMatrix, render_poset_spec
@@ -175,11 +181,12 @@ class _FamilyIndex:
             raise ValueError(f"{g:#x} is already a member of the family")
         return below, above
 
-    def _add(self, g: int) -> None:
+    def _add(self, g: int, relation: tuple[int, int] | None = None) -> None:
         """Grow the index by member g in place: g's relations are O(n)
-        column reads, then g's bit goes into each related row and each
-        column of an element of g.  Raises ValueError if g is a member."""
-        below, above = self.relation_to(g)
+        column reads, unless ``relation_to(g)`` is given, then g's bit goes
+        into each related row and each column of an element of g.  Raises
+        ValueError if g is a member."""
+        below, above = relation or self.relation_to(g)
         bit = 1 << len(self.masks)
         for row, sel in ((self.up, below), (self.down, above)):
             while sel:
@@ -198,12 +205,13 @@ class _FamilyIndex:
         self.masks += (g,)
         self.all_bits |= bit
 
-    def extended(self, g: int) -> "_FamilyIndex":
-        """Index for masks + (g,); raises ValueError if g is a member."""
+    def extended(self, g: int, relation: tuple[int, int] | None = None) -> "_FamilyIndex":
+        """Index for masks + (g,); raises ValueError if g is a member.
+        ``relation``, if given, is ``relation_to(g)``, already read."""
         out = object.__new__(_FamilyIndex)
         out.masks, out.all_bits, out._twins = self.masks, self.all_bits, None
         out.up, out.down, out.cols = self.up[:], self.down[:], self.cols[:]
-        out._add(g)
+        out._add(g, relation)
         return out
 
     def twin_classes(self, n: int | None = None) -> list[int]:
@@ -349,6 +357,14 @@ class _GenericEngine:
         self.rel = rel
         self.profiles = profiles
 
+    def grown(self, index: _FamilyIndex, poset: ComparabilityMatrix) -> "_GenericEngine":
+        """The engine over ``index``, this engine's family grown by a member.
+        ``rel`` and ``profiles`` depend on the target only, so they are
+        shared."""
+        out = object.__new__(_GenericEngine)
+        out.index, out.size, out.rel, out.profiles = index, self.size, self.rel, self.profiles
+        return out
+
     def domains(self, index: _FamilyIndex) -> list[int]:
         """Starting domain of every position: the members with enough room.
 
@@ -379,9 +395,20 @@ class _GenericEngine:
 
         Pins g to each position in turn; the first copy wins.  The domains
         are computed once, and a position whose domain lacks g is skipped
-        without trying a candidate.
+        without trying a candidate.  When g's own counts of members above,
+        below and apart fit no position's profile, no domain holds g, and
+        the search ends before the index is copied.
         """
-        ext = self.index.extended(g)
+        index = self.index
+        below, above = index.relation_to(g)
+        u, d = above.bit_count(), below.bit_count()
+        apart = len(index.masks) - u - d
+        for need_up, need_down, need_apart in self.profiles:
+            if u >= need_up and d >= need_down and apart >= need_apart:
+                break
+        else:
+            return None
+        ext = index.extended(g, (below, above))
         g_bit = 1 << len(self.index.masks)
         start = self.domains(ext)
         for pin_pos, dom in enumerate(start):
@@ -463,11 +490,12 @@ class _ChainEngine:
     """Interval-node search for pure chain-union targets.
 
     A k-chain inside the family is represented by its (bottom, top) pair of
-    family indices.  Bitset level sets tell which pairs can host which
-    lengths: level j above a member holds the members on a chain of at
-    least j + 2 sets from it, and each level is one gather of the one
-    before.  Cross-incomparability of two chains reduces to their extremes:
-    bottom of each must escape the top of the other.  So node (b, t)
+    family indices, and the nodes are ordered by (top, bottom).  Bitset
+    level sets tell which pairs can host which lengths: level j below a
+    member holds the members on a chain of at least j + 2 sets up to it,
+    and each level is one gather of the one before.  Cross-incomparability
+    of two chains reduces to their extremes: bottom of each must escape the
+    top of the other.  So node (b, t)
     clashes with ``nb[t] | nt[b]``, the nodes whose bottom fits in t and
     those whose top contains b, and the nodes compatible with everything
     chosen shrink by one mask per pick.  Memory grows with the nodes times
@@ -476,8 +504,11 @@ class _ChainEngine:
     No pruning changes a verdict: the colouring bound (``_solve``) cuts
     only subtrees that hold no copy; a pinned search tries only exact-reach
     endpoint classes (``_g_classes``), which dominate every other class;
-    and ``find`` starts only from one member per twin orbit, which some
-    copy reaches whenever any copy exists.
+    and ``find`` starts only from nodes whose top leads its twin orbit,
+    which some copy reaches whenever any copy exists.  A member that lies
+    under no member grows the engine in place of a rebuild (``grown``):
+    its nodes are (b, g) for each b in level L - 2 below g, L the shortest
+    pair length, and (g, g) when a slot is C1, and they come last.
     """
 
     __slots__ = (
@@ -505,17 +536,15 @@ class _ChainEngine:
         want_single = self.slots[0] == 1
         pair_lengths = sorted({length for length in self.slots if length >= 2})
 
-        # Interval nodes, ordered by (bottom index, top index).  With L the
-        # shortest pair length, the tops of chains of at least L sets from b
-        # are level L - 2 above b, whose level 0 is its up row.
-        tops_of = [0] * nf
+        # Interval nodes, ordered by (top index, bottom index).  With L the
+        # shortest pair length, the bottoms of chains of at least L sets up
+        # to t are level L - 2 below t, whose level 0 is its down row.
+        bottoms_of = [0] * nf
         nodes: list[tuple[int, int]] = []
-        for b in range(nf):
-            if want_single:
-                nodes.append((b, b))
+        for t in range(nf):
             if pair_lengths:
-                tops_of[b] = tops = _climb(up, up[b], pair_lengths[0] - 2)
-                nodes.extend((b, t) for t in _bits(tops))
+                bottoms_of[t] = _climb(down, down[t], pair_lengths[0] - 2)
+            nodes.extend((b, t) for b in _bits(bottoms_of[t] | want_single << t))
         self.nodes = nodes
         self.all_nodes = (1 << len(nodes)) - 1
 
@@ -528,33 +557,92 @@ class _ChainEngine:
             by_top[ti] |= 1 << c
         self.by_bottom = by_bottom
         self.by_top = by_top
-        self.len_ok = self._length_masks(tops_of, pair_lengths)
+        singles = 0
+        for t, row in enumerate(by_top):
+            singles |= row & by_bottom[t]
+        len_ok = {1: singles, **dict.fromkeys(pair_lengths[1:], 0)}
+        if pair_lengths:
+            len_ok[pair_lengths[0]] = self.all_nodes & ~singles
+        for t, level in enumerate(bottoms_of):
+            self._longer_lengths(len_ok, t, level, pair_lengths)
+        self.len_ok = len_ok
         self.nb = [_gather(by_bottom, down[x] | 1 << x) for x in range(nf)]
         self.nt = [_gather(by_top, up[x] | 1 << x) for x in range(nf)]
         # Node (b, t) clashes with nb[t] | nt[b]; a node keeps the two
         # references, and no mask is built per node.
         self.clash = [(self.nb[t], self.nt[b]) for b, t in nodes]
 
-    def _length_masks(self, tops_of: list[int], pair_lengths: list[int]):
-        """``len_ok[L]``: the nodes that can host a chain of L sets.
+    def _longer_lengths(self, len_ok, t: int, level: int, pair_lengths: list[int]) -> None:
+        """Add top t's nodes to ``len_ok[L]`` for the pair lengths past the
+        shortest.
 
-        The singletons, the nodes (b, b), host 1, and every other node the
-        shortest pair length.  A pair node (b, t) hosts a longer L when t
-        lies in level L - 2 above b; ``tops_of[b]`` is the shortest pair
-        length's level, and each longer length climbs on from the last.
+        ``len_ok[L]`` holds the nodes that can host a chain of L sets.  The
+        singletons, the nodes (b, b), host 1, and every other node the
+        shortest pair length.  A pair node (b, t) hosts a longer L when b
+        lies in level L - 2 below t; ``level`` is the shortest pair length's
+        level, and each longer length climbs on from the last.
         """
-        up, by_bottom, by_top = self.index.up, self.by_bottom, self.by_top
-        singles = 0
-        for b, row in enumerate(by_bottom):
-            singles |= row & by_top[b]
-        len_ok = {1: singles, **dict.fromkeys(pair_lengths[1:], 0)}
+        down, by_bottom, by_top = self.index.down, self.by_bottom, self.by_top
+        for shorter, length in zip(pair_lengths, pair_lengths[1:]):
+            level = _climb(down, level, length - shorter)
+            len_ok[length] |= by_top[t] & _gather(by_bottom, level)
+
+    def grown(self, index: _FamilyIndex, poset: ComparabilityMatrix) -> "_ChainEngine":
+        """The engine over ``index``: this engine's family grown by the
+        members past it, in order.
+
+        When each of them lies under no member before it, every chain
+        through it ends there, so the nodes so far, their lengths and their
+        order stay, and its nodes come last in (top, bottom) order; they
+        are appended (``_append``) and the clash references read anew.  The
+        result equals a fresh build.  Otherwise it is built afresh.
+        """
+        old = len(self.index.masks)
+        if any(index.up[t] & ((1 << t) - 1) for t in range(old, len(index.masks))):
+            return _ChainEngine(index, poset)
+        out = object.__new__(_ChainEngine)
+        out.index, out.chains, out.slots = index, self.chains, self.slots
+        out.nodes, out.all_nodes = self.nodes[:], self.all_nodes
+        out.by_bottom, out.by_top = self.by_bottom[:], self.by_top[:]
+        out.nb, out.nt, out.len_ok = self.nb[:], self.nt[:], dict(self.len_ok)
+        for t in range(old, len(index.masks)):
+            out._append(t)
+        nb, nt = out.nb, out.nt
+        out.clash = [(nb[t], nt[b]) for b, t in out.nodes]
+        return out
+
+    def _append(self, t: int) -> None:
+        """Add member t's nodes in place: (b, t) for each b in level L - 2
+        below t, and (t, t) when a slot is C1.  No member before t holds t,
+        and none after it is counted yet.  Their bits go into ``by_bottom``,
+        the ``nb`` row of every member holding a bottom, the ``nt`` row of
+        every member inside t, and ``len_ok``; ``clash`` is left stale."""
+        down, up = self.index.down, self.index.up
+        pair_lengths = sorted(self.len_ok)[1:]  # len_ok is keyed by 1 and the pair lengths
+        bottoms = _climb(down, down[t], pair_lengths[0] - 2) if pair_lengths else 0
+        first, nodes = len(self.nodes), self.nodes
+        nodes.extend((b, t) for b in _bits(bottoms | (self.slots[0] == 1) << t))
+        mine = ((1 << len(nodes)) - 1) ^ self.all_nodes  # every bottom lies in t
+        self.all_nodes |= mine
+        by_bottom, nb, nt = self.by_bottom, self.nb, self.nt
+        self.by_top.append(mine)
+        by_bottom.append(0)
+        nb.append(_gather(by_bottom, down[t]))
+        known = (2 << t) - 1  # members up to t
+        for c in range(first, len(nodes)):
+            b = nodes[c][0]
+            by_bottom[b] |= 1 << c
+            for x in _bits(up[b] & known | 1 << b):  # t among them
+                nb[x] |= 1 << c
+        nt.append(mine)
+        for x in _bits(down[t]):
+            nt[x] |= mine
+        single = by_bottom[t]  # t's own node (t, t), if a slot is C1
+        len_ok = self.len_ok
+        len_ok[1] |= single
         if pair_lengths:
-            len_ok[pair_lengths[0]] = self.all_nodes & ~singles
-        for b, level in enumerate(tops_of):
-            for shorter, length in zip(pair_lengths, pair_lengths[1:]):
-                level = _climb(up, level, length - shorter)
-                len_ok[length] |= by_bottom[b] & _gather(by_top, level)
-        return len_ok
+            len_ok[pair_lengths[0]] |= mine & ~single
+        self._longer_lengths(len_ok, t, bottoms, pair_lengths)
 
     def _solve(self, slots: list[int], cand: int, budget: list[int], first: int = -1):
         """Pick one compatible node per slot; returns chosen node ids or None.
@@ -565,7 +653,10 @@ class _ChainEngine:
         Colouring bound: the picks still to make are pairwise compatible
         nodes of a pool, so before the search steps a depth down it splits
         the pool greedily into classes of pairwise incompatible nodes, one
-        clash set read per node.  Pairwise compatible nodes take one class
+        clash set read per node.  Each class starts from the pool's highest
+        node, whose top comes last in member order: in canonical order a
+        largest set, which tends to clash with the most nodes, every one
+        whose bottom it holds.  Pairwise compatible nodes take one class
         each at most, so fewer classes than remaining slots prune the
         subtree; the colouring stops once the count reaches the slots.
         Only subtrees that hold no copy are cut, so the first copy found is
@@ -630,9 +721,10 @@ class _ChainEngine:
                         break
                     q = pool  # grow one class: keep what clashes with all of it
                     while q:
-                        low = q & -q
+                        c = q.bit_length() - 1  # the highest node: the largest top
+                        low = 1 << c
                         pool ^= low
-                        x, y = clash[low.bit_length() - 1]
+                        x, y = clash[c]
                         q = q & (x | y) ^ low  # a node clashes with itself
                 if need:
                     continue
@@ -675,19 +767,21 @@ class _ChainEngine:
     def find(self, budget: list[int]):
         """A copy's images in poset-element order, or None.
 
-        Depth 0 tries only nodes whose bottom is the lowest-index member of
+        Depth 0 tries only nodes whose top is the lowest-index member of
         its orbit under the family's twin group; members m and m' share an
         orbit when |m ∩ C| = |m' ∩ C| for every twin class C.  No copy is
         lost.  Each σ in the twin group maps the family onto itself, so it
         maps a copy X to a copy σ(X).  Among these images take one whose
-        least bottom over the chains of the first slot group (the shortest)
-        is smallest.  That bottom leads its orbit, or some τ would send it to
-        a lower member, and τσ(X) would beat σ(X).  Equal chains ascend and
-        nodes are ordered by bottom, so the search reaches σ(X) with that
-        bottom's node at depth 0.  A pinned search is not symmetric in g and
-        gets no such cut, and neither does a one-chain target: its first
-        node tried is already a copy, so the cut cannot save a node, and
-        computing the classes would cost more than the search.
+        least top over the chains of the first slot group (the shortest)
+        is smallest.  That top leads its orbit, or some τ would send it to
+        a lower member, and τσ(X) would beat σ(X).  Equal chains ascend,
+        nodes are ordered by top, and compatible nodes have distinct tops
+        (a bottom lies inside its own top, so it cannot escape an equal
+        one), so the search reaches σ(X) with that top's node at depth 0.
+        A pinned search is not symmetric in g and gets no such cut, and
+        neither does a one-chain target: its first node tried is already a
+        copy, so the cut cannot save a node, and computing the classes
+        would cost more than the search.
         """
         index = self.index
         first = -1  # with no twins, every member leads its own orbit
@@ -702,7 +796,7 @@ class _ChainEngine:
                 if orbit not in seen:
                     seen.add(orbit)
                     leaders |= 1 << i
-            first = _gather(self.by_bottom, leaders)
+            first = _gather(self.by_top, leaders)
         chosen = self._solve(self.slots, self.all_nodes, budget, first)
         if chosen is None:
             return None
@@ -907,14 +1001,28 @@ class CopySearch:
         """Searcher for the family extended by g, on the same kind of engine.
 
         Raises ValueError if g is already a member.  The index grows in
-        O(|F|), and the engine is built over it afresh.  Certificates stay
-        valid in every superfamily; each grown searcher gets its own copy.
+        O(|F|), and the engine grows over it: the chain engine appends g's
+        nodes when g lies under no member (``_ChainEngine.grown``) and is
+        built afresh otherwise.  Certificates stay valid in every
+        superfamily; each grown searcher gets its own copy.
         """
+        return self.with_members((g,))
+
+    def with_members(self, gs: Iterable[int]) -> "CopySearch":
+        """Searcher for the family extended by each of ``gs`` in turn, as
+        ``with_member`` grows it, with one copy of the index, the engine
+        and the certificates in all."""
         # Not through __init__, which would build the index from scratch;
         # the exact solver grows a searcher at every accepted prefix.
+        index = self._engine.index  # copied once, by its first extension
+        for i, g in enumerate(gs):
+            if i:
+                index._add(g)
+            else:
+                index = index.extended(g)
         out = object.__new__(CopySearch)
         out.poset = self.poset
-        out._engine = type(self._engine)(self._engine.index.extended(g), self.poset)
+        out._engine = self._engine.grown(index, self.poset)
         out._certificates = self._certificates.copy()
         return out
 

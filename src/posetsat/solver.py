@@ -14,6 +14,16 @@ along prefixes, so it is checked only there.  The check stops at its first
 exception, and skips every absent set that a copy found above it covers:
 the copies ride along into each child's searcher.
 
+Look-ahead.  A prefix F with tail T reaches only families inside
+U = F ∪ T.  A set its ancestors' tails passed over before the child taken,
+a *skipped* set, is absent from every one of them.  Completing a copy is
+monotone, so if a skipped h completes no copy in U + h, it completes none
+in any family below, and none of them is saturated: the branch is cut.  A
+prefix runs the check only when it would descend, on F's searcher grown
+by T's members in order (the chain engine appends them, and F's copies
+ride along).  It cuts only branches with no saturated family, so the
+value and the witness do not change.
+
 The least size found so far bounds the pass, starting one above the
 greedy incumbent: a child is entered only while it would be smaller
 (checked before each child, as an earlier sibling may have lowered the
@@ -125,12 +135,15 @@ def sat_star_exact(
 ) -> SolveResult:
     """Minimum size of an induced-saturated family over [n] for the target.
 
-    ``node_budget`` caps the outer search's freeness tests, one per
-    candidate set of each prefix, which ``nodes_explored`` counts; the
-    saturation checks of prefixes with an empty tail are not counted, and
-    each embedded copy search gets the default ``DEFAULT_NODE_BUDGET``.
-    One bounded depth-first pass (the module docstring) returns the
-    lexicographically first saturated family of the least size.  Exact
+    ``node_budget`` caps the outer search's freeness tests, which
+    ``nodes_explored`` counts: one per candidate set of each prefix, and
+    one per skipped set the look-ahead asks about.  The saturation checks
+    of prefixes with an empty tail are not counted, and each embedded copy
+    search gets the default ``DEFAULT_NODE_BUDGET``.  One bounded
+    depth-first pass (the module docstring) returns the lexicographically
+    first saturated family of the least size; the look-ahead cuts every
+    branch in which a set skipped above completes no copy in the prefix
+    plus its tail, which holds no saturated family.  Exact
     results carry that witness, re-verified by a full sweep (which checks
     freeness first) before being returned.
     """
@@ -152,13 +165,17 @@ def sat_star_exact(
         members = set(search.masks)
         return all(g in members or search.completes(g) for g in universe)
 
-    def dfs(cands: list[int], search: CopySearch) -> None:
-        nonlocal nodes, best, found
+    def tick() -> None:  # one freeness test of the outer search
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError("solver node budget exceeded")
+
+    def dfs(cands: list[int], search: CopySearch, skipped: list[int]) -> None:
+        nonlocal best, found
         tail, size = [], len(search.masks)  # the candidates this prefix can still add
         for g in cands:
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError("solver node budget exceeded")
+            tick()
             if not search.completes(g):
                 tail.append(g)
                 if size + 1 >= best:
@@ -167,14 +184,24 @@ def sat_star_exact(
             if saturated(search):
                 best, found = size, search.masks
             return
+        if size + 1 >= best:
+            return
+        if skipped:  # the look-ahead (module docstring)
+            reach = search.with_members(tail)
+            # Latest first: the parent's look-ahead already found the earlier
+            # ones completing a copy in a larger family.
+            for h in reversed(skipped):
+                tick()
+                if not reach.completes(h):
+                    return
         for i, g in enumerate(tail):
             if size + 1 >= best:
                 return  # an earlier child may have lowered the bound
             if group.is_least(search.masks + (g,)):
-                dfs(tail[i + 1:], search.with_member(g))
+                dfs(tail[i + 1:], search.with_member(g), skipped + tail[:i])
 
     try:
-        dfs(universe, CopySearch((), poset))
+        dfs(universe, CopySearch((), poset), [])
     except BudgetExceededError:
         return SolveResult("budget_exceeded", len(incumbent), incumbent, nodes)
     if found is None:  # the greedy incumbent is saturated, so the pass finds one no larger

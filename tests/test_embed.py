@@ -307,7 +307,9 @@ class TestChainPruning:
 
     Without the bound, proving mc2-binom(11,2) free of 7C2 takes 218,798
     nodes and mck(12,3,3) free of 3C3 takes 21,751; with it, 11,715 and 499;
-    with the first pick once per twin orbit as well, 4,311 and 301.  Slots
+    with the first pick once per twin orbit as well, 4,311 and 301; with
+    nodes ordered by top, that pick judged by its top and each colour class
+    started from the highest node, 5,057 and 294.  Slots
     taken longest first left the colouring bound idle on 2C_k+C1: freeness
     of 2ck-c1(11,4) took 18,069 nodes, 2ck-c1(12,6) 6,274,012, and
     2ck-c1(14,7) ran out of the default budget.  Shortest first, the tail
@@ -442,6 +444,83 @@ class TestIncrementalSearch:
         for g in range(1 << 6):
             if g not in family.sets:
                 assert searcher.find_containing(g) == fresh.find_containing(g), g
+
+
+@st.composite
+def growth_cases(draw):
+    """A family over [n], 2 <= n <= 6, in canonical order, and a chain-union
+    target: lengths 1..4 bring C1 slots and mixed lengths often."""
+    n = draw(st.integers(2, 6))
+    masks = tuple(sorted(set(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=14))),
+                         key=canonical_key))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    return n, masks, build_poset("+".join(f"C{length}" for length in lengths))
+
+
+def chain_engine_fields(searcher):
+    engine = searcher._engine
+    assert isinstance(engine, _ChainEngine)
+    fields = ("nodes", "all_nodes", "len_ok", "nb", "nt", "by_bottom", "by_top", "clash")
+    return {name: getattr(engine, name) for name in fields}
+
+
+class TestEngineGrowth:
+    """A searcher grown by a member that lies under no member appends its
+    nodes to the chain engine instead of building it again."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(growth_cases(), st.data())
+    def test_grown_chain_engine_equals_fresh_build(self, case, data):
+        # Members added in canonical order lie under none before them, so
+        # each step appends; the result must match a fresh build field by
+        # field, member by member and with a whole tail at once.
+        n, masks, poset = case
+        searcher = CopySearch((), poset)
+        for i, g in enumerate(masks):
+            searcher = searcher.with_member(g)
+            assert chain_engine_fields(searcher) == chain_engine_fields(
+                CopySearch(masks[: i + 1], poset)), (masks[: i + 1], poset.spec)
+        fresh = chain_engine_fields(CopySearch(masks, poset))
+        cut = data.draw(st.integers(0, len(masks)))
+        assert chain_engine_fields(CopySearch(masks[:cut], poset).with_members(masks[cut:])) == fresh
+        # A set under a member takes the rebuild path, to the same result.
+        under = [g for g in range(1 << n) if g not in masks and any(g & m == g for m in masks)]
+        if under:
+            g = data.draw(st.sampled_from(under))
+            assert chain_engine_fields(searcher.with_member(g)) == chain_engine_fields(
+                CopySearch(masks + (g,), poset))
+
+    def test_growth_builds_no_engine(self, monkeypatch):
+        built = []
+        for engine in (_ChainEngine, embed._GenericEngine):
+            original = engine.__init__
+
+            def counting(self, *args, original=original):
+                built.append(type(self).__name__)
+                original(self, *args)
+
+            monkeypatch.setattr(engine, "__init__", counting)
+        family = construct_2ck_c1(6, 3)
+        cube = tuple(sorted(range(1 << 6), key=canonical_key))
+        for spec in ("2C3+C1", "B2"):
+            poset = build_poset(spec)
+            start = CopySearch((), poset)
+            built.clear()
+            searcher = start
+            for g in family.sets:  # canonical order: each lies under no member
+                searcher = searcher.with_member(g)
+            whole = start.with_members(cube)
+            assert built == []
+            assert whole.find() == CopySearch(cube, poset).find()
+        # The generic engine shares its target tables; the chain engine is
+        # built afresh for a set that lies under a member.
+        under = next(g for g in range(1 << 6) if g not in family.sets)
+        assert any(m & under == under for m in family.sets)
+        base = CopySearch(family.sets, build_poset("B2"))
+        assert base.with_member(under)._engine.rel is base._engine.rel
+        built.clear()
+        CopySearch(family.sets, build_poset("2C3+C1")).with_member(under)
+        assert built == ["_ChainEngine", "_ChainEngine"]  # the base and the rebuild
 
 
 @st.composite
