@@ -288,6 +288,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "node_budget", 0) < 0:
+            raise UsageError(f"--node-budget must be at least 0, got {args.node_budget}")
         return _COMMANDS[args.command](args)
     except BudgetExceededError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)

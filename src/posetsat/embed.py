@@ -19,32 +19,33 @@ order.  A ``CopySearch`` holds one of them, picked from its target:
   Boolean-lattice ones included.
 
 * The chain engine serves every pure chain-union target.  Two chains are
-  fully cross-incomparable exactly when each bottom escapes the other's top, so
-  a chain is summarized by its (bottom, top) pair; the engine enumerates
-  realizable interval nodes via bitset level sets (level j above a member
-  holds the members on a chain of at least j + 2 sets from it, each level
-  one gather of the one before) and picks one node per target chain,
-  shortest chains first, shrinking a compatibility bitset as it goes.
-  Three prunings, each sound by a dominance or symmetry argument, keep it
-  small.  Before each step down it colours the pool of candidates for the
-  remaining chains greedily into classes of pairwise incompatible nodes;
-  the remaining picks are pairwise compatible, one per class at most, so
-  fewer classes than remaining chains cut the subtree.  Taking the
-  shortest chains first leaves a uniform tail for the colouring: after
-  the C1 pick of 2C_k+C1, the two k-chains.  A search pinned at a new
-  member g tries, for g's own chain, only the endpoint classes whose
-  longest chain through g has exactly the chain's length: any longer class
-  can step an end towards g and only widen its pool.  A search for any
-  copy makes its first pick once per orbit of the family's twin group,
-  judged by the node's top.  This is what makes exhaustive negative
-  verdicts (freeness proofs, exception sweeps) fast on families full of
-  long chains.  A node's clashes are read from two rows per member, with
-  no table over pairs of nodes, so it has no cap on their number.  Nodes
-  are ordered by (top, bottom).  A member that lies under no other member
-  is the top of every chain through it, so adding it adds only nodes whose
-  top it is, and they come last: the engine grows by appending them, with
-  no rebuild.  Members added in canonical order (by size, then value) are
-  all such members, as the exact solver adds them.
+  fully cross-incomparable exactly when each bottom escapes the other's
+  top, so a chain is summarized by its (bottom, top) pair; the engine
+  enumerates realizable interval nodes via bitset level sets (level j above
+  a member holds the members on a chain of at least j + 2 sets from it,
+  each level one gather of the one before) and picks one node per target
+  chain, shortest chains first, shrinking a compatibility bitset as it
+  goes.  Three prunings, each sound by a dominance or symmetry argument,
+  keep it small.  Before each step down it colours the pool of candidates
+  for the remaining chains greedily into classes of pairwise incompatible
+  nodes; the remaining picks are pairwise compatible, one per class at
+  most, so fewer classes than remaining chains cut the subtree, and in a
+  tail of equal chains the next pick branches only on the nodes left
+  outside the first classes.  Taking the shortest chains first leaves a
+  uniform tail for the colouring: after the C1 pick of 2C_k+C1, the two
+  k-chains.  A search pinned at a new member g tries, for g's own chain,
+  only the endpoint classes whose longest chain through g has exactly the
+  chain's length: any longer class can step an end towards g and only widen
+  its pool.  A search for any copy makes its first pick once per orbit of
+  the family's twin group, judged by the node's top.  This is what makes
+  exhaustive negative verdicts (freeness proofs, exception sweeps) fast on
+  families full of long chains.  A node's clashes are read from two rows
+  per member, with no table over pairs of nodes, so it has no cap on their
+  number.  Nodes are ordered by (top, bottom).  A member that lies under no
+  other member is the top of every chain through it, so adding it adds only
+  nodes whose top it is, and they come last: the engine grows by appending
+  them, with no rebuild.  Members added in canonical order (by size, then
+  value) are all such members, as the exact solver adds them.
 
 Both engines read one containment index of the family: for each member,
 the members above it and those below it, as bitsets over family indices
@@ -70,10 +71,15 @@ no search; ``with_member`` hands the grown searcher a copy of the store.
 ``find`` and ``find_containing`` never read it, so their answers do not
 depend on what was asked before.
 
-Chains of equal length are interchangeable.  The chain engine picks their
-interval nodes in ascending order, which removes a factorial blowup
-without changing whether a copy exists.  The generic engine does not break
-this symmetry.  No search runs it on a chain target, but the tests do, as
+Chains of equal length are interchangeable, and the chain engine never
+searches a copy's equal chains in two orders.  Its first pick and the picks
+between equal slots of a mixed tail take their interval nodes in ascending
+order.  Inside a tail where every remaining slot has one length, each depth
+drops a node from its candidates once it has been tried, and branches only
+on the nodes its colouring bound left outside the first classes
+(``_ChainEngine._solve``).  Either rule removes a factorial blowup without
+changing whether a copy exists.  The generic engine does not break this
+symmetry.  No search runs it on a chain target, but the tests do, as
 the chain engine's reference: there it finds a copy exactly when the chain
 engine does, possibly a different one, and a target with many equal
 chains costs it more search.
@@ -499,16 +505,19 @@ class _ChainEngine:
     clashes with ``nb[t] | nt[b]``, the nodes whose bottom fits in t and
     those whose top contains b, and the nodes compatible with everything
     chosen shrink by one mask per pick.  Memory grows with the nodes times
-    the members, never with the nodes squared.  Slots run shortest
-    first, and chains of equal length take their nodes in ascending order.
-    No pruning changes a verdict: the colouring bound (``_solve``) cuts
-    only subtrees that hold no copy; a pinned search tries only exact-reach
-    endpoint classes (``_g_classes``), which dominate every other class;
-    and ``find`` starts only from nodes whose top leads its twin orbit,
-    which some copy reaches whenever any copy exists.  A member that lies
-    under no member grows the engine in place of a rebuild (``grown``):
-    its nodes are (b, g) for each b in level L - 2 below g, L the shortest
-    pair length, and (g, g) when a slot is C1, and they come last.
+    the members, never with the nodes squared.  Slots run shortest first.
+    Equal chains take their nodes in ascending order at depth 0 and on a
+    mixed tail; inside a tail of equal chains each depth branches only on
+    the nodes outside the colouring's first classes and drops each node
+    once tried.  No pruning changes a verdict: the colouring bound and its
+    branching rule (``_solve``) cut only subtrees that hold no copy; a
+    pinned search tries only exact-reach endpoint classes (``_g_classes``),
+    which dominate every other class; and ``find`` starts only from nodes
+    whose top leads its twin orbit, which some copy reaches whenever any
+    copy exists.  A member that lies under no member grows the engine in
+    place of a rebuild (``grown``): its nodes are (b, g) for each b in
+    level L - 2 below g, L the shortest pair length, and (g, g) when a slot
+    is C1, and they come last.
     """
 
     __slots__ = (
@@ -659,14 +668,11 @@ class _ChainEngine:
         whose bottom it holds.  Pairwise compatible nodes take one class
         each at most, so fewer classes than remaining slots prune the
         subtree; the colouring stops once the count reaches the slots.
-        Only subtrees that hold no copy are cut, so the first copy found is
-        unchanged.
 
-        When every remaining slot has the next slot's length, the pool is
-        the next depth's candidates, as equal chains ascend from there.
-        Otherwise it is every node compatible with ``cand`` and the picks so
-        far that can host the next slot, the shortest remaining one, which
-        is sound:
+        The pool is every node compatible with ``cand`` and the picks so far
+        that can host the next slot, the shortest remaining one.  A step is
+        *uniform* when every remaining slot has one length; there the pool
+        is the next depth's candidates.  Otherwise the pool is sound:
 
         * for lengths of at least 2, ``len_ok[L]`` lies inside
           ``len_ok[L']`` when L' <= L, so every remaining pick is in the pool;
@@ -675,6 +681,28 @@ class _ChainEngine:
           keeps them compatible, with each other and with everything the
           search must escape: b lies inside t, so b escapes whatever t
           escapes, and two compatible nodes never share a bottom.
+
+        Branching (Tomita and Seki's MCQ, 2003, for the classes; Carraghan
+        and Pardalos, 1990, for dropping a node once tried).  On a uniform
+        step whose colouring reaches need - 1 classes with nodes to spare,
+        the next depth branches only on the pool nodes left outside those
+        classes, and a uniform depth past the first drops each node from
+        its candidates once it has been branched on.  Proof: a class holds
+        pairwise incompatible nodes, so any ``need`` pairwise compatible
+        nodes of the pool include one outside the first need - 1 classes.
+        Take the first such node in branch order.  Every node dropped
+        before it was branched on earlier, outside the classes, so by that
+        choice it is not in the set.  So the rest of the set is in that
+        branch's candidates, and by induction on the slots left the branch
+        finds a copy.  Only subtrees with no copy are cut, so verdicts do
+        not change; node counts and the copy found can.
+
+        Equal slots elsewhere take ascending nodes.  At depth 0 with every
+        slot equal the cut lies on the candidates themselves, so every
+        deeper pick lies above the first, and the tail search below is
+        complete among those nodes.  On a mixed tail the cut lies on the
+        next pick only: a later, longer pick may lie below, and cutting the
+        candidates loses copies.
         """
         total = len(slots)
         if total == 0:
@@ -705,16 +733,20 @@ class _ChainEngine:
             if step == total:
                 budget[0] = left
                 return chosen
+            uniform = slots[depth] == slots[-1]
+            if uniform and depth:
+                cand_stack[depth] ^= low  # tried: no later pick takes it
             x, y = clash[v]
             nxt = cand_stack[depth] & ~(x | y)
-            a = nxt & ok[step]
-            if slots[step] == slots[depth]:
+            if uniform and not depth:
+                nxt &= -1 << (v + 1)  # every slot equal: all picks above v
+            pool = a = nxt & ok[step]
+            if slots[step] == slots[depth] and not uniform:
                 a &= -1 << (v + 1)  # equal chains in ascending node order
             if not a:
                 continue
             need = total - step  # slots left; the colouring counts its classes off
             if need > 1:
-                pool = a if slots[step] == slots[-1] else nxt & ok[step]
                 while pool:
                     need -= 1
                     if not need:
@@ -728,6 +760,8 @@ class _ChainEngine:
                         q = q & (x | y) ^ low  # a node clashes with itself
                 if need:
                     continue
+                if slots[step] == slots[-1]:
+                    a = pool  # branch only on the nodes outside the classes
             depth = step
             cand_stack[depth] = nxt
             avail[depth] = a
@@ -774,10 +808,14 @@ class _ChainEngine:
         maps a copy X to a copy σ(X).  Among these images take one whose
         least top over the chains of the first slot group (the shortest)
         is smallest.  That top leads its orbit, or some τ would send it to
-        a lower member, and τσ(X) would beat σ(X).  Equal chains ascend,
-        nodes are ordered by top, and compatible nodes have distinct tops
-        (a bottom lies inside its own top, so it cannot escape an equal
-        one), so the search reaches σ(X) with that top's node at depth 0.
+        a lower member, and τσ(X) would beat σ(X).  Nodes are ordered by
+        top, and compatible nodes have distinct tops (a bottom lies inside
+        its own top, so it cannot escape an equal one), so that top's node
+        is the lowest of σ(X)'s first slot group.  Depth 0 still takes
+        equal chains in ascending order, so it tries that node, and the
+        search below it is complete: it finds a copy whenever one extends
+        the first pick with the rest of the first group above it
+        (``_solve``), as σ(X) does.
         A pinned search is not symmetric in g and gets no such cut, and
         neither does a one-chain target: its first node tried is already a
         copy, so the cut cannot save a node, and computing the classes

@@ -246,3 +246,23 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["verify", "saturate", "find-copy", "solve"])
+    def test_negative_node_budget(self, capsys, tmp_path, command):
+        # A negative budget is a usage error, not a search that overran.
+        if command == "solve":
+            target = ["--n", "3", "--poset", "C2"]
+        else:
+            target = ["--family", write_family(tmp_path, construct_b3(5)), "--poset", "C2"]
+        code, out, err = run(capsys, command, *target, "--node-budget", "-5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--node-budget" in err
+
+    @pytest.mark.parametrize("command", ["verify", "find-copy"])
+    def test_zero_node_budget_still_runs(self, capsys, tmp_path, command):
+        path = write_family(tmp_path, construct_b3(5))
+        code, _, err = run(capsys, command, "--family", path, "--poset", "B3",
+                           "--node-budget", "0")
+        assert code == 3
+        assert not err.startswith("error:")

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import perm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -201,6 +202,17 @@ class TestAgainstBruteForce:
             pins = [g for g in range(16) if g not in masks][::3]
             self._check_target(tuple(masks), 4, poset, pins)
 
+    def test_mixed_tail_keeps_the_nodes_it_tried(self):
+        # C3+C2+C1 runs C1, C2, C3.  The C2 pick tried first and left may
+        # still be the C3's node, so only a depth inside a tail of equal
+        # chains drops a node once tried; dropping it at the C2 pick loses
+        # this family's one copy.
+        masks = (10, 26, 27, 12, 28, 7)
+        poset = build_poset("C3+C2+C1")
+        assert brute_force_has_copy(masks, poset)
+        emb = CopySearch(masks, poset).find()
+        assert emb is not None and verify_embedding(canonicalize_family(masks, 5), poset, emb)
+
     def test_engines_agree_on_boolean_and_chain_targets(self):
         chain_posets = [build_poset(s) for s in ("2C2", "C3+C1", "3C1")]
         for masks in random_families(150):
@@ -309,7 +321,9 @@ class TestChainPruning:
     nodes and mck(12,3,3) free of 3C3 takes 21,751; with it, 11,715 and 499;
     with the first pick once per twin orbit as well, 4,311 and 301; with
     nodes ordered by top, that pick judged by its top and each colour class
-    started from the highest node, 5,057 and 294.  Slots
+    started from the highest node, 5,057 and 294; branching inside a tail
+    of equal chains only on the nodes outside the first colour classes,
+    529 and 294.  Slots
     taken longest first left the colouring bound idle on 2C_k+C1: freeness
     of 2ck-c1(11,4) took 18,069 nodes, 2ck-c1(12,6) 6,274,012, and
     2ck-c1(14,7) ran out of the default budget.  Shortest first, the tail
@@ -326,6 +340,20 @@ class TestChainPruning:
         pytest.param(construct_2ck_c1(16, 8), "2C8+C1", 1_000, marks=pytest.mark.slow),
     ])
     def test_freeness_within_budget(self, family, spec, budget):
+        searcher = CopySearch(family.sets, build_poset(spec))
+        assert isinstance(searcher._engine, _ChainEngine)
+        assert searcher.find(node_budget=budget) is None
+
+    @pytest.mark.parametrize("family,spec,budget", [
+        (construct_mc2_binom(11, 2), "7C2", 600),
+        (construct_mc2_binom(13, 2), "7C2", 600),
+        (construct_mck(14, 4, 3), "4C3", 15_000),
+    ])
+    def test_uniform_tail_branches_outside_the_colour_classes(self, family, spec, budget):
+        # Inside a tail of equal chains a depth branches only on the nodes
+        # the colouring left outside its first need - 1 classes, and drops
+        # each node once tried.  Branching on every candidate took 5,057
+        # nodes on mc2-binom(11,2) / 7C2 and 37,891 on mck(14,4,3) / 4C3.
         searcher = CopySearch(family.sets, build_poset(spec))
         assert isinstance(searcher._engine, _ChainEngine)
         assert searcher.find(node_budget=budget) is None
@@ -613,6 +641,49 @@ def test_engines_agree_on_random_chain_unions(case):
         grown = canonicalize_family(family.sets + (g,), family.n)
         for emb in (a, b):
             assert emb is None or (g in emb.assignment and verify_embedding(grown, poset, emb))
+
+
+# Three or more equal chains at the end of the slots: the tail where the
+# chain engine branches only outside its colour classes.
+UNIFORM_TAIL_SPECS = ["4C1", "3C2", "4C2", "C1+3C2", "2C1+3C2", "3C3"]
+
+
+@st.composite
+def shuffled_families(draw):
+    """A family over [n], n in {4, 5}, in canonical or shuffled member order."""
+    n = draw(st.integers(4, 5))
+    keep = draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n))
+    masks = sorted((g for g in range(1 << n) if keep[g]), key=canonical_key)
+    if draw(st.booleans()):
+        masks = draw(st.permutations(masks))
+    return tuple(masks), n
+
+
+@pytest.mark.parametrize("spec", UNIFORM_TAIL_SPECS)
+@settings(max_examples=60, deadline=None)
+@given(case=shuffled_families())
+def test_uniform_tails_agree_with_references(spec, case):
+    # Every pick of the tail comes from one pool, so a branch may skip the
+    # colour classes and the nodes tried before it; no copy may be lost,
+    # whatever the member order.  The brute force checks the search where
+    # it is quick.
+    masks, n = case
+    poset = build_poset(spec)
+    chains = CopySearch(masks, poset)
+    generic = generic_search(masks, poset)
+    assert isinstance(chains._engine, _ChainEngine)
+    for g in [None] + [g for g in range(1 << n) if g not in masks]:
+        if g is None:
+            grown, a, b = canonicalize_family(masks, n), chains.find(), generic.find()
+        else:
+            grown = canonicalize_family(masks + (g,), n)
+            a, b = chains.find_containing(g), generic.find_containing(g)
+        assert (a is None) == (b is None), (masks, g)
+        if perm(len(grown.sets), poset.size) <= 1_000_000:  # the brute force's orderings
+            assert (a is not None) == brute_force_has_copy(grown.sets, poset, require=g)
+        for emb in (a, b):
+            assert emb is None or verify_embedding(grown, poset, emb)
+            assert emb is None or g is None or g in emb.assignment
 
 
 @st.composite
