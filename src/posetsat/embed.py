@@ -41,11 +41,12 @@ order.  A ``CopySearch`` holds one of them, picked from its target:
   exhaustive negative verdicts (freeness proofs, exception sweeps) fast on
   families full of long chains.  A node's clashes are read from two rows
   per member, with no table over pairs of nodes, so it has no cap on their
-  number.  Nodes are ordered by (top, bottom).  A member that lies under no
-  other member is the top of every chain through it, so adding it adds only
-  nodes whose top it is, and they come last: the engine grows by appending
-  them, with no rebuild.  Members added in canonical order (by size, then
-  value) are all such members, as the exact solver adds them.
+  number.  Nodes are ordered by (top, bottom), and a build appends each
+  top's nodes in turn.  The engine grows by appending unless a new member
+  lies under an old one: an old member's chains then stay as they were, so
+  the new tops' nodes, read from the grown family, come last, with no
+  rebuild.  Members added in canonical order (by size, then value) lie
+  under none before them, as the exact solver adds them.
 
 Both engines read one containment index of the family: for each member,
 the members above it and those below it, as bitsets over family indices
@@ -514,10 +515,9 @@ class _ChainEngine:
     pinned search tries only exact-reach endpoint classes (``_g_classes``),
     which dominate every other class; and ``find`` starts only from nodes
     whose top leads its twin orbit, which some copy reaches whenever any
-    copy exists.  A member that lies under no member grows the engine in
-    place of a rebuild (``grown``): its nodes are (b, g) for each b in
-    level L - 2 below g, L the shortest pair length, and (g, g) when a slot
-    is C1, and they come last.
+    copy exists.  ``grown`` appends unless a new member lies under an old
+    one: the new tops' nodes come last, and every build appends each top's
+    nodes through one step (``_add_tops``).
     """
 
     __slots__ = (
@@ -539,119 +539,72 @@ class _ChainEngine:
         self.chains = poset.chains
         # One slot per target chain, shortest first.
         self.slots = sorted(len(chain) for chain in self.chains)
+        self.nodes: list[tuple[int, int]] = []
+        self.by_bottom, self.by_top = [], []
+        # len_ok[L]: the nodes that can host a chain of L sets, for L = 1
+        # and each pair length.
+        pair_lengths = sorted({length for length in self.slots if length >= 2})
+        self.len_ok = dict.fromkeys([1, *pair_lengths], 0)
+        self._add_tops(0)
 
+    def _add_tops(self, old: int) -> None:
+        """Append the nodes of each top from member ``old`` on, then read
+        the clash rows anew.
+
+        Top t's nodes are (b, t) for each b in level L - 2 below t, L the
+        shortest pair length, and (t, t) when a slot is C1, in bottom order.
+        A singleton hosts a chain of 1 set, every other node one of L, and a
+        node hosts a longer length too when its bottom lies that much deeper.
+        ``nb[x]`` holds the nodes whose bottom fits inside member x, ``nt[x]``
+        those whose top contains x, and node (b, t) clashes with nb[t] | nt[b].
+        """
+        index, nodes, by_bottom, by_top = self.index, self.nodes, self.by_bottom, self.by_top
         up, down = index.up, index.down
         nf = len(index.masks)
+        len_ok = self.len_ok
+        pair_lengths = sorted(len_ok)[1:]  # len_ok is keyed by 1 and the pair lengths
         want_single = self.slots[0] == 1
-        pair_lengths = sorted({length for length in self.slots if length >= 2})
-
-        # Interval nodes, ordered by (top index, bottom index).  With L the
-        # shortest pair length, the bottoms of chains of at least L sets up
-        # to t are level L - 2 below t, whose level 0 is its down row.
-        bottoms_of = [0] * nf
-        nodes: list[tuple[int, int]] = []
-        for t in range(nf):
+        by_bottom.extend([0] * (nf - len(by_bottom)))
+        for t in range(old, nf):
+            bottoms = _climb(down, down[t], pair_lengths[0] - 2) if pair_lengths else 0
+            first = len(nodes)
+            nodes.extend((b, t) for b in _bits(bottoms | want_single << t))
+            mine = (1 << len(nodes)) - (1 << first)
+            by_top.append(mine)
+            for c in range(first, len(nodes)):
+                by_bottom[nodes[c][0]] |= 1 << c
+            single = by_bottom[t] & mine
+            len_ok[1] |= single
             if pair_lengths:
-                bottoms_of[t] = _climb(down, down[t], pair_lengths[0] - 2)
-            nodes.extend((b, t) for b in _bits(bottoms_of[t] | want_single << t))
-        self.nodes = nodes
+                len_ok[pair_lengths[0]] |= mine & ~single
+            for shorter, length in zip(pair_lengths, pair_lengths[1:]):
+                bottoms = _climb(down, bottoms, length - shorter)
+                len_ok[length] |= mine & _gather(by_bottom, bottoms)
         self.all_nodes = (1 << len(nodes)) - 1
-
-        # nb[x]: nodes whose bottom fits inside member x;
-        # nt[x]: nodes whose top contains member x.
-        by_bottom = [0] * nf
-        by_top = [0] * nf
-        for c, (bi, ti) in enumerate(nodes):
-            by_bottom[bi] |= 1 << c
-            by_top[ti] |= 1 << c
-        self.by_bottom = by_bottom
-        self.by_top = by_top
-        singles = 0
-        for t, row in enumerate(by_top):
-            singles |= row & by_bottom[t]
-        len_ok = {1: singles, **dict.fromkeys(pair_lengths[1:], 0)}
-        if pair_lengths:
-            len_ok[pair_lengths[0]] = self.all_nodes & ~singles
-        for t, level in enumerate(bottoms_of):
-            self._longer_lengths(len_ok, t, level, pair_lengths)
-        self.len_ok = len_ok
-        self.nb = [_gather(by_bottom, down[x] | 1 << x) for x in range(nf)]
-        self.nt = [_gather(by_top, up[x] | 1 << x) for x in range(nf)]
-        # Node (b, t) clashes with nb[t] | nt[b]; a node keeps the two
-        # references, and no mask is built per node.
-        self.clash = [(self.nb[t], self.nt[b]) for b, t in nodes]
-
-    def _longer_lengths(self, len_ok, t: int, level: int, pair_lengths: list[int]) -> None:
-        """Add top t's nodes to ``len_ok[L]`` for the pair lengths past the
-        shortest.
-
-        ``len_ok[L]`` holds the nodes that can host a chain of L sets.  The
-        singletons, the nodes (b, b), host 1, and every other node the
-        shortest pair length.  A pair node (b, t) hosts a longer L when b
-        lies in level L - 2 below t; ``level`` is the shortest pair length's
-        level, and each longer length climbs on from the last.
-        """
-        down, by_bottom, by_top = self.index.down, self.by_bottom, self.by_top
-        for shorter, length in zip(pair_lengths, pair_lengths[1:]):
-            level = _climb(down, level, length - shorter)
-            len_ok[length] |= by_top[t] & _gather(by_bottom, level)
+        self.nb = nb = [_gather(by_bottom, down[x] | 1 << x) for x in range(nf)]
+        self.nt = nt = [_gather(by_top, up[x] | 1 << x) for x in range(nf)]
+        # A node keeps the two references, and no mask is built per node.
+        self.clash = [(nb[t], nt[b]) for b, t in nodes]
 
     def grown(self, index: _FamilyIndex, poset: ComparabilityMatrix) -> "_ChainEngine":
         """The engine over ``index``: this engine's family grown by the
         members past it, in order.
 
-        When each of them lies under no member before it, every chain
-        through it ends there, so the nodes so far, their lengths and their
-        order stay, and its nodes come last in (top, bottom) order; they
-        are appended (``_append``) and the clash references read anew.  The
-        result equals a fresh build.  Otherwise it is built afresh.
+        Unless a new member lies under an old one, every old top keeps its
+        chains, so the nodes so far, their lengths and their order stay;
+        the new tops' nodes, read from the grown index, are appended
+        (``_add_tops``).  The result equals a fresh build.  Otherwise it is
+        built afresh.
         """
         old = len(self.index.masks)
-        if any(index.up[t] & ((1 << t) - 1) for t in range(old, len(index.masks))):
+        if any(index.up[t] & ((1 << old) - 1) for t in range(old, len(index.masks))):
             return _ChainEngine(index, poset)
         out = object.__new__(_ChainEngine)
         out.index, out.chains, out.slots = index, self.chains, self.slots
-        out.nodes, out.all_nodes = self.nodes[:], self.all_nodes
+        out.nodes, out.len_ok = self.nodes[:], dict(self.len_ok)
         out.by_bottom, out.by_top = self.by_bottom[:], self.by_top[:]
-        out.nb, out.nt, out.len_ok = self.nb[:], self.nt[:], dict(self.len_ok)
-        for t in range(old, len(index.masks)):
-            out._append(t)
-        nb, nt = out.nb, out.nt
-        out.clash = [(nb[t], nt[b]) for b, t in out.nodes]
+        out._add_tops(old)
         return out
-
-    def _append(self, t: int) -> None:
-        """Add member t's nodes in place: (b, t) for each b in level L - 2
-        below t, and (t, t) when a slot is C1.  No member before t holds t,
-        and none after it is counted yet.  Their bits go into ``by_bottom``,
-        the ``nb`` row of every member holding a bottom, the ``nt`` row of
-        every member inside t, and ``len_ok``; ``clash`` is left stale."""
-        down, up = self.index.down, self.index.up
-        pair_lengths = sorted(self.len_ok)[1:]  # len_ok is keyed by 1 and the pair lengths
-        bottoms = _climb(down, down[t], pair_lengths[0] - 2) if pair_lengths else 0
-        first, nodes = len(self.nodes), self.nodes
-        nodes.extend((b, t) for b in _bits(bottoms | (self.slots[0] == 1) << t))
-        mine = ((1 << len(nodes)) - 1) ^ self.all_nodes  # every bottom lies in t
-        self.all_nodes |= mine
-        by_bottom, nb, nt = self.by_bottom, self.nb, self.nt
-        self.by_top.append(mine)
-        by_bottom.append(0)
-        nb.append(_gather(by_bottom, down[t]))
-        known = (2 << t) - 1  # members up to t
-        for c in range(first, len(nodes)):
-            b = nodes[c][0]
-            by_bottom[b] |= 1 << c
-            for x in _bits(up[b] & known | 1 << b):  # t among them
-                nb[x] |= 1 << c
-        nt.append(mine)
-        for x in _bits(down[t]):
-            nt[x] |= mine
-        single = by_bottom[t]  # t's own node (t, t), if a slot is C1
-        len_ok = self.len_ok
-        len_ok[1] |= single
-        if pair_lengths:
-            len_ok[pair_lengths[0]] |= mine & ~single
-        self._longer_lengths(len_ok, t, bottoms, pair_lengths)
 
     def _solve(self, slots: list[int], cand: int, budget: list[int], first: int = -1):
         """Pick one compatible node per slot; returns chosen node ids or None.
@@ -1039,9 +992,9 @@ class CopySearch:
         """Searcher for the family extended by g, on the same kind of engine.
 
         Raises ValueError if g is already a member.  The index grows in
-        O(|F|), and the engine grows over it: the chain engine appends g's
-        nodes when g lies under no member (``_ChainEngine.grown``) and is
-        built afresh otherwise.  Certificates stay valid in every
+        O(|F|), and the engine grows over it: the chain engine appends
+        unless a new member lies under an old one (``_ChainEngine.grown``),
+        and is built afresh otherwise.  Certificates stay valid in every
         superfamily; each grown searcher gets its own copy.
         """
         return self.with_members((g,))

@@ -20,8 +20,8 @@ a *skipped* set, is absent from every one of them.  Completing a copy is
 monotone, so if a skipped h completes no copy in U + h, it completes none
 in any family below, and none of them is saturated: the branch is cut.  A
 prefix runs the check only when it would descend, on F's searcher grown
-by T's members in order (the chain engine appends them, and F's copies
-ride along).  It cuts only branches with no saturated family, so the
+by T's members in order (the chain engine appends unless a member of T
+lies under one of F, and F's copies ride along).  It cuts only branches with no saturated family, so the
 value and the witness do not change.
 
 The least size found so far bounds the pass, starting one above the

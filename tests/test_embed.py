@@ -493,24 +493,27 @@ def chain_engine_fields(searcher):
 
 
 class TestEngineGrowth:
-    """A searcher grown by a member that lies under no member appends its
-    nodes to the chain engine instead of building it again."""
+    """A searcher grown by members none of which lies under an old member
+    appends their nodes to the chain engine instead of building it again."""
 
     @settings(max_examples=300, deadline=None)
     @given(growth_cases(), st.data())
     def test_grown_chain_engine_equals_fresh_build(self, case, data):
         # Members added in canonical order lie under none before them, so
         # each step appends; the result must match a fresh build field by
-        # field, member by member and with a whole tail at once.
+        # field, member by member and with a whole tail at once.  A tail in
+        # any order lies under no member of the canonical base, though one
+        # of its members may lie under a later one, and appends too.
         n, masks, poset = case
         searcher = CopySearch((), poset)
         for i, g in enumerate(masks):
             searcher = searcher.with_member(g)
             assert chain_engine_fields(searcher) == chain_engine_fields(
                 CopySearch(masks[: i + 1], poset)), (masks[: i + 1], poset.spec)
-        fresh = chain_engine_fields(CopySearch(masks, poset))
         cut = data.draw(st.integers(0, len(masks)))
-        assert chain_engine_fields(CopySearch(masks[:cut], poset).with_members(masks[cut:])) == fresh
+        tail = tuple(data.draw(st.permutations(masks[cut:])))
+        assert chain_engine_fields(CopySearch(masks[:cut], poset).with_members(tail)) == (
+            chain_engine_fields(CopySearch(masks[:cut] + tail, poset)))
         # A set under a member takes the rebuild path, to the same result.
         under = [g for g in range(1 << n) if g not in masks and any(g & m == g for m in masks)]
         if under:
@@ -530,6 +533,7 @@ class TestEngineGrowth:
             monkeypatch.setattr(engine, "__init__", counting)
         family = construct_2ck_c1(6, 3)
         cube = tuple(sorted(range(1 << 6), key=canonical_key))
+        shuffled = tuple(random.Random(0).sample(cube, len(cube)))
         for spec in ("2C3+C1", "B2"):
             poset = build_poset(spec)
             start = CopySearch((), poset)
@@ -538,17 +542,21 @@ class TestEngineGrowth:
             for g in family.sets:  # canonical order: each lies under no member
                 searcher = searcher.with_member(g)
             whole = start.with_members(cube)
+            # An empty family has no member for a new one to lie under.
+            mixed = start.with_members(shuffled)
             assert built == []
             assert whole.find() == CopySearch(cube, poset).find()
+            assert mixed.find() == CopySearch(shuffled, poset).find()
         # The generic engine shares its target tables; the chain engine is
-        # built afresh for a set that lies under a member.
+        # built afresh, once, for a tail with a set that lies under a member.
         under = next(g for g in range(1 << 6) if g not in family.sets)
         assert any(m & under == under for m in family.sets)
         base = CopySearch(family.sets, build_poset("B2"))
         assert base.with_member(under)._engine.rel is base._engine.rel
+        base = CopySearch(family.sets, build_poset("2C3+C1"))
         built.clear()
-        CopySearch(family.sets, build_poset("2C3+C1")).with_member(under)
-        assert built == ["_ChainEngine", "_ChainEngine"]  # the base and the rebuild
+        base.with_members(g for g in shuffled if g not in family.sets)
+        assert built == ["_ChainEngine"]
 
 
 @st.composite

@@ -91,3 +91,31 @@ def test_verify_builds_searchers_at_one_site():
         and node.func.id == "CopySearch"
     ]
     assert len(sites) == 1, f"CopySearch constructed in verify.py at lines {sites}"
+
+
+def test_chain_engine_appends_nodes_at_one_site():
+    # A fresh chain engine and a grown one append each top's nodes through
+    # one step; a second site that adds nodes would be a second build path
+    # whose rows could drift from the first.
+    tree = ast.parse((SRC / "embed.py").read_text(), filename="embed.py")
+    engine = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_ChainEngine"
+    )
+
+    def is_nodes(node):
+        return (isinstance(node, ast.Name) and node.id == "nodes") or (
+            isinstance(node, ast.Attribute) and node.attr == "nodes"
+        )
+
+    sites = [
+        node.lineno
+        for node in ast.walk(engine)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("append", "extend", "insert")
+            and is_nodes(node.func.value)
+        )
+        or (isinstance(node, ast.AugAssign) and is_nodes(node.target))
+    ]
+    assert len(sites) == 1, f"_ChainEngine.nodes extended in embed.py at lines {sites}"
