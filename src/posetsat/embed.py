@@ -231,8 +231,9 @@ class _FamilyIndex:
         element is compared with the first element of every class so far,
         one pair of columns each.
 
-        ``n`` must be at least the bit length of every member.  The classes
-        are computed once.  Without ``n``, those already computed for any
+        ``n`` must be at least the bit length of every member, else
+        ValueError: a smaller ground would drop elements.  The classes are
+        computed once.  Without ``n``, those already computed for any
         ground are returned, else those of the smallest ground that holds
         every member: the elements past every member are twins of each other
         and of any element no member holds, so every such ground gives the
@@ -243,6 +244,8 @@ class _FamilyIndex:
             return twins[1]
         if n is None:
             n = len(self.cols)
+        elif n < len(self.cols):
+            raise ValueError(f"a member holds an element past the ground set [{n}]")
         masks, members = self.masks, set(self.masks)
         cols = self.cols + [0] * (n - len(self.cols))
         classes: list[int] = []
@@ -564,9 +567,12 @@ class _ChainEngine:
         len_ok = self.len_ok
         pair_lengths = sorted(len_ok)[1:]  # len_ok is keyed by 1 and the pair lengths
         want_single = self.slots[0] == 1
+        deepest = pair_lengths[-1] - 1 if pair_lengths else 0
         by_bottom.extend([0] * (nf - len(by_bottom)))
         for t in range(old, nf):
-            bottoms = _climb(down, down[t], pair_lengths[0] - 2) if pair_lengths else 0
+            # The bottoms of t's chains of L sets: level L - 2 below t.
+            levels = _levels(down, down[t], deepest)
+            bottoms = levels[pair_lengths[0] - 2] if levels else 0
             first = len(nodes)
             nodes.extend((b, t) for b in _bits(bottoms | want_single << t))
             mine = (1 << len(nodes)) - (1 << first)
@@ -577,9 +583,8 @@ class _ChainEngine:
             len_ok[1] |= single
             if pair_lengths:
                 len_ok[pair_lengths[0]] |= mine & ~single
-            for shorter, length in zip(pair_lengths, pair_lengths[1:]):
-                bottoms = _climb(down, bottoms, length - shorter)
-                len_ok[length] |= mine & _gather(by_bottom, bottoms)
+            for length in pair_lengths[1:]:
+                len_ok[length] |= mine & _gather(by_bottom, levels[length - 2])
         self.all_nodes = (1 << len(nodes)) - 1
         self.nb = nb = [_gather(by_bottom, down[x] | 1 << x) for x in range(nf)]
         self.nt = nt = [_gather(by_top, up[x] | 1 << x) for x in range(nf)]
@@ -885,13 +890,6 @@ def _gather(rows: list[int], members: int) -> int:
     return out
 
 
-def _climb(rows: list[int], members: int, steps: int) -> int:
-    """What ``steps`` gathers along ``rows`` reach from ``members``."""
-    for _ in range(steps):
-        members = _gather(rows, members)
-    return members
-
-
 def _levels(rows: list[int], first: int, count: int) -> list[int]:
     """``count`` level sets: ``first``, then each one gather of the last.
 
@@ -955,8 +953,9 @@ class CopySearch:
     def twin_classes(self, n: int) -> list[int]:
         """Masks of the twin classes of [n], ordered by their lowest element.
 
-        ``n`` must be at least the bit length of every member.  Computed
-        once per family and shared with the chain engine's ``find``.
+        ``n`` must be at least the bit length of every member, else
+        ValueError.  Computed once per family and shared with the chain
+        engine's ``find``.
         """
         return self._engine.index.twin_classes(n)
 

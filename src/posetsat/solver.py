@@ -10,9 +10,7 @@ each prefix tests each candidate after its last pick once, through
 ``CopySearch.completes``, and the addable ones form its tail, its
 children's candidates.  A set in the tail is an exception, so only a
 prefix with an empty tail can be saturated; saturation is not monotone
-along prefixes, so it is checked only there.  The check stops at its first
-exception, and skips every absent set that a copy found above it covers:
-the copies ride along into each child's searcher.
+along prefixes, so it is decided only there, by the look-ahead below.
 
 Look-ahead.  A prefix F with tail T reaches only families inside
 U = F ∪ T.  A set its ancestors' tails passed over before the child taken,
@@ -21,8 +19,16 @@ monotone, so if a skipped h completes no copy in U + h, it completes none
 in any family below, and none of them is saturated: the branch is cut.  A
 prefix runs the check only when it would descend, on F's searcher grown
 by T's members in order (the chain engine appends unless a member of T
-lies under one of F, and F's copies ride along).  It cuts only branches with no saturated family, so the
-value and the witness do not change.
+lies under one of F, and F's copies ride along).  It cuts only branches
+with no saturated family, so the value and the witness do not change.
+
+The same loop decides a leaf.  A set absent from F is one of three:
+rejected by an ancestor's candidate test, so it completes a copy in F by
+monotonicity; a candidate of F; or skipped.  With T empty every candidate
+completes a copy, so F is saturated exactly when every skipped set
+completes a copy in F: the look-ahead with U = F, asked of F's own
+searcher.  It stops at the first skipped set that completes none, and
+each set a copy found above covers needs no search.
 
 The least size found so far bounds the pass, starting one above the
 greedy incumbent: a child is entered only while it would be smaller
@@ -135,11 +141,11 @@ def sat_star_exact(
 ) -> SolveResult:
     """Minimum size of an induced-saturated family over [n] for the target.
 
-    ``node_budget`` caps the outer search's freeness tests, which
-    ``nodes_explored`` counts: one per candidate set of each prefix, and
-    one per skipped set the look-ahead asks about.  The saturation checks
-    of prefixes with an empty tail are not counted, and each embedded copy
-    search gets the default ``DEFAULT_NODE_BUDGET``.  One bounded
+    ``node_budget`` caps the outer search's tests, which ``nodes_explored``
+    counts: one per candidate set of each prefix, and one per skipped set
+    the look-ahead asks about, a leaf's saturation check included.  Every
+    ``CopySearch.completes`` call of the pass is one test; each embedded
+    copy search gets the default ``DEFAULT_NODE_BUDGET``.  One bounded
     depth-first pass (the module docstring) returns the lexicographically
     first saturated family of the least size; the look-ahead cuts every
     branch in which a set skipped above completes no copy in the prefix
@@ -161,11 +167,7 @@ def sat_star_exact(
     group = _GroundGroup(n, poset.spec is not None and poset.spec.is_self_dual())
     nodes, best, found = 0, len(incumbent) + 1, None  # only families below best are kept
 
-    def saturated(search: CopySearch) -> bool:  # the family is free by construction
-        members = set(search.masks)
-        return all(g in members or search.completes(g) for g in universe)
-
-    def tick() -> None:  # one freeness test of the outer search
+    def tick() -> None:  # one test of the outer search
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
@@ -180,20 +182,20 @@ def sat_star_exact(
                 tail.append(g)
                 if size + 1 >= best:
                     break  # at the bound: no child, and one exception rules this prefix out
-        if not tail:  # entered below the bound, so smaller than the best found
-            if saturated(search):
-                best, found = size, search.masks
+        if tail and size + 1 >= best:
             return
-        if size + 1 >= best:
-            return
-        if skipped:  # the look-ahead (module docstring)
-            reach = search.with_members(tail)
+        if skipped:  # the look-ahead; with an empty tail, the saturation check (module docstring)
+            # Growing a searcher by nothing would only re-read its clash rows.
+            reach = search.with_members(tail) if tail else search
             # Latest first: the parent's look-ahead already found the earlier
             # ones completing a copy in a larger family.
             for h in reversed(skipped):
                 tick()
                 if not reach.completes(h):
                     return
+        if not tail:  # saturated, and entered below the bound, so smaller than the best found
+            best, found = size, search.masks
+            return
         for i, g in enumerate(tail):
             if size + 1 >= best:
                 return  # an earlier child may have lowered the bound

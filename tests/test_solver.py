@@ -9,6 +9,7 @@ from oracles import (
     brute_force_least_image,
     brute_force_sat_star,
 )
+from posetsat import solver
 from posetsat.embed import CopySearch
 from posetsat.posetspec import build_poset
 from posetsat.setfam import Family, canonical_key, canonicalize_family, mask_of
@@ -117,10 +118,13 @@ class TestBehaviour:
             assert got.nodes_explored == budget + 1
 
     def test_budget_overrun_inside_the_look_ahead(self, monkeypatch):
-        # The look-ahead's tests count against the budget too: an overrun
-        # there is counted, with none after it.  A look-ahead searcher is one
-        # the solver grows by a whole tail; the overrun at budget b lands in
-        # the look-ahead when the run at b + 1 asks one of them once more.
+        # The look-ahead's tests count against the budget too, a leaf's
+        # saturation check included: an overrun there is counted, with none
+        # after it.  A look-ahead searcher is one the solver grows by a whole
+        # tail.  A leaf's check asks the prefix's own searcher about a
+        # skipped set, which lies canonically below its last member, where a
+        # candidate lies above it.  The overrun at budget b lands on the test
+        # that the run at b + 1 makes next, past the calls of the run at b.
         poset = build_poset("2C2")
         incumbent = greedy_saturate(Family(4, ()), poset)
         asked = []
@@ -131,26 +135,69 @@ class TestBehaviour:
             out.looks_ahead = True
             return out
 
-        def counting(self, g, *args):
-            asked.append(getattr(self, "looks_ahead", False))
+        def recording(self, g, *args):
+            if getattr(self, "looks_ahead", False):
+                asked.append("look-ahead")
+            elif self.masks and canonical_key(g) < canonical_key(self.masks[-1]):
+                asked.append("leaf")
+            else:
+                asked.append("other")
             return completes(self, g, *args)
 
         monkeypatch.setattr(CopySearch, "with_members", tail_growth)
         monkeypatch.setattr(CopySearch, "with_member", lambda self, g: with_members(self, (g,)))
-        monkeypatch.setattr(CopySearch, "completes", counting)
+        monkeypatch.setattr(CopySearch, "completes", recording)
 
-        def look_ahead_tests(budget):
+        def tests_asked(budget):
             asked.clear()
             got = sat_star_exact(4, poset, node_budget=budget)
-            return got, sum(asked)
+            return got, asked[:]
 
         last = sat_star_exact(4, poset).nodes_explored
-        for budget in (97, 100, 597, last - 1):
-            got, looked = look_ahead_tests(budget)
-            assert look_ahead_tests(budget + 1)[1] == looked + 1, budget
+        for budget, kind in [
+            (93, "leaf"),
+            (98, "look-ahead"),
+            (100, "look-ahead"),
+            (596, "look-ahead"),
+            (last - 1, "look-ahead"),
+        ]:
+            got, before = tests_asked(budget)
+            after = tests_asked(budget + 1)[1]
+            assert after[: len(before) + 1] == before + [kind], budget
             assert got.status == "budget_exceeded", budget
             assert got.witness == incumbent
             assert got.nodes_explored == budget + 1
+
+    @pytest.mark.parametrize("spec", ["2C2", "3C1", "B2"])
+    def test_every_test_of_the_pass_is_counted(self, spec, monkeypatch):
+        # nodes_explored is the number of CopySearch.completes calls the
+        # pass makes, a leaf's saturation checks included: every call but
+        # those made inside greedy completion and the witness sweep.
+        poset = build_poset(spec)
+        calls, outside = [0], [0]
+        completes = CopySearch.completes
+
+        def counting(self, g, *args):
+            calls[0] += 1
+            return completes(self, g, *args)
+
+        def outside_the_pass(run):
+            def counted(*args, **kwargs):
+                before = calls[0]
+                try:
+                    return run(*args, **kwargs)
+                finally:
+                    outside[0] += calls[0] - before
+
+            return counted
+
+        monkeypatch.setattr(CopySearch, "completes", counting)
+        monkeypatch.setattr(solver, "greedy_saturate", outside_the_pass(greedy_saturate))
+        monkeypatch.setattr(solver, "exceptions", outside_the_pass(exceptions))
+        got = sat_star_exact(4, poset)
+        assert got.status == "exact"
+        assert outside[0] > 0  # both ran, and both ask completes
+        assert got.nodes_explored == calls[0] - outside[0]
 
     def test_budget_exceeded_carries_upper_bound(self):
         poset = build_poset("C2")

@@ -382,6 +382,18 @@ class TestTwinClasses:
     def test_boolean_lattice_is_one_class(self):
         assert class_sizes(boolean_family(4)) == [4]
 
+    def test_ground_below_a_member_raises(self):
+        # Over [5] the classes are {1, 2, 5} and {3, 4}; a ground of 3 would
+        # drop element 5, a twin of 1 and 2, so it is refused, also once the
+        # classes of a larger ground are computed.
+        searcher = CopySearch((0b1, 0b10, 0b10000), build_poset("2C1"))
+        with pytest.raises(ValueError, match="past the ground set"):
+            searcher.twin_classes(3)
+        assert searcher.twin_classes(5) == [0b10011, 0b1100]
+        with pytest.raises(ValueError, match="past the ground set"):
+            searcher.twin_classes(4)
+        assert searcher.twin_classes(6) == [0b10011, 0b101100]
+
     @settings(deadline=None)
     @given(families(max_n=7))
     def test_classes_match_the_definition(self, family):
