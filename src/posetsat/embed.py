@@ -66,9 +66,14 @@ is ``need ⊆ g′ ⊆ room`` and g′ incomparable to each image in ``apart``,
 where ``need`` is the union of the images inside g, ``room`` the
 intersection of those containing g (unbounded when there are none), and
 ``apart`` the rest; an image inside g′ is a member and g′ is not, so it
-lies strictly inside.  The triple is a *certificate*.  ``completes``
-stores one for each copy it finds and answers a set that one covers with
-no search; ``with_member`` hands the grown searcher a copy of the store.
+lies strictly inside.  The triple is a *certificate*, and the store keeps
+each one once, as its triple.  ``completes`` stores one for each copy it
+finds and answers a set that one covers with no search, by a scan of the
+triples.  ``noncompleting`` asks a whole candidate list: it reads each
+triple against the candidates' element columns, a few big-int operations
+that mark every candidate it covers at once, and hands ``completes`` only
+the lowest one left, so it searches exactly what a ``completes`` loop
+would.  ``with_member`` hands the grown searcher a copy of the store.
 ``find`` and ``find_containing`` never read it, so their answers do not
 depend on what was asked before.
 
@@ -92,7 +97,8 @@ distinct from "no copy".
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .posetspec import ComparabilityMatrix, render_poset_spec
@@ -268,27 +274,26 @@ class _FamilyIndex:
 
 class _Certificates:
     """Certificates of the copies a searcher has found (module docstring),
-    indexed by ground element like ``_FamilyIndex.cols``: ``need_has[e]``
-    and ``room_lacks[e]`` hold the certificates whose ``need`` holds e and
-    whose ``room`` lacks it, ``bounded`` those whose ``room`` is finite.
-    The columns run to the last element of any ``need`` or finite
-    ``room``, so a set holding an element past them fits no bounded one."""
+    each stored once as a ``(need, room, apart)`` triple in the order found;
+    ``room`` is -1, every element, when no image contains the set.
 
-    __slots__ = ("need_has", "room_lacks", "bounded", "apart")
+    ``covers`` asks one set against every triple.  ``covered`` asks many at
+    once, over the element columns of a candidate list (``_columns``): a
+    triple's covered candidates are a few ANDs and ORs of whole columns.
+    """
+
+    __slots__ = ("triples",)
 
     def __init__(self):
-        self.need_has, self.room_lacks, self.bounded = [], [], 0
-        self.apart: list[tuple[int, ...]] = []
+        self.triples: list[tuple[int, int, tuple[int, ...]]] = []
 
     def copy(self) -> "_Certificates":
         out = object.__new__(_Certificates)
-        out.need_has, out.room_lacks = self.need_has[:], self.room_lacks[:]
-        out.bounded, out.apart = self.bounded, self.apart[:]
+        out.triples = self.triples[:]
         return out
 
     def add(self, g: int, images: tuple[int, ...]) -> None:
-        """Store the certificate of a copy in F + {g} whose images use g;
-        ``room`` is -1, every element, when no image contains g."""
+        """Store the certificate of a copy in F + {g} whose images use g."""
         need, room, apart = 0, -1, []
         for m in images:
             if m == g:
@@ -299,39 +304,64 @@ class _Certificates:
                 room &= m
             else:
                 apart.append(m)
-        bit = 1 << len(self.apart)
-        grow = max(need, room).bit_length() - len(self.need_has)  # room -1 adds none
-        if grow > 0:  # every bounded certificate's room lacks the new elements
-            self.need_has += [0] * grow
-            self.room_lacks += [self.bounded] * grow
-        for e in range(len(self.need_has)):
-            if need >> e & 1:
-                self.need_has[e] |= bit
-            if not room >> e & 1:
-                self.room_lacks[e] |= bit
-        if room >= 0:
-            self.bounded |= bit
-        self.apart.append(tuple(apart))
+        self.triples.append((need, room, tuple(apart)))
 
     def covers(self, g: int) -> bool:
         """Whether a stored copy turns into one in F + {g} that uses g."""
-        out_of_interval, rest = 0, g
-        for need_has, room_lacks in zip(self.need_has, self.room_lacks):
-            out_of_interval |= room_lacks if rest & 1 else need_has
-            rest >>= 1
-        if rest:  # g holds an element past every column
-            out_of_interval |= self.bounded
-        fits = ((1 << len(self.apart)) - 1) & ~out_of_interval
-        while fits:
-            low = fits & -fits
-            fits ^= low
-            for a in self.apart[low.bit_length() - 1]:
+        for need, room, apart in self.triples:
+            if need & ~g or g & ~room:
+                continue
+            for a in apart:
                 common = g & a
                 if common == g or common == a:
                     break
             else:
                 return True
         return False
+
+    def covered(
+        self, cols: list[int], within: int, start: int = 0,
+        memo: dict[int, int] | None = None,
+    ) -> int:
+        """The candidates in ``within`` that a triple from ``start`` on covers.
+
+        ``cols[e]`` is the bitset of the candidates holding ground element
+        e, and no candidate holds an element past them.  A triple keeps the
+        candidates that hold every element of ``need`` and none outside
+        ``room``, then drops each that lies inside an image ``a`` of
+        ``apart`` (it holds no element outside a) or contains it (it holds
+        every element of a): n·(1 + |apart|) column reads in all.  Many
+        triples share an image, so ``memo`` keeps the candidates comparable
+        to each image read; a caller that asks again over the same columns
+        passes the same dict.
+        """
+        width = len(cols)
+        universe = (1 << width) - 1
+        related = {} if memo is None else memo  # image -> the candidates comparable to it
+        out = 0
+        for need, room, apart in self.triples[start:]:
+            if need >> width:
+                continue  # no candidate holds every element of need
+            fits = within & ~out
+            for e in _bits(need | universe & ~room):
+                fits &= cols[e] if need >> e & 1 else ~cols[e]
+                if not fits:
+                    break
+            for a in apart:
+                if not fits:
+                    break
+                comparable = related.get(a)
+                if comparable is None:  # the candidates holding all of a, or nothing outside it
+                    above, outside = 0 if a >> width else -1, 0
+                    for e in range(width):
+                        if a >> e & 1:
+                            above &= cols[e]
+                        else:
+                            outside |= cols[e]
+                    comparable = related[a] = above | ~outside
+                fits &= ~comparable
+            out |= fits
+        return out
 
 
 class _GenericEngine:
@@ -873,6 +903,31 @@ class _ChainEngine:
         return down_part + up_part
 
 
+# _DIGITS[b] maps a byte to the ASCII digit of its bit b.
+_DIGITS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+_WORD = (1 << 64) - 1
+
+
+def _columns(cands: list[int]) -> list[int]:
+    """Element columns of a candidate list: bit i of ``cols[e]`` is element
+    e of ``cands[i]``, for each e up to the last one a candidate holds.
+
+    Each 64-element slice of the candidates is packed into little-endian
+    words; a column is then one strided byte slice, mapped to ASCII digits
+    by ``bytes.translate``, reversed and read by ``int(..., 2)``, all at C
+    speed.
+    """
+    width = max(cands, default=0).bit_length()  # the largest holds the last element
+    cols = []
+    for base in range(0, width, 64):
+        words = cands if width <= 64 else [g >> base & _WORD for g in cands]
+        packed = struct.pack(f"<{len(words)}Q", *words)
+        for e in range(base, min(width, base + 64)):
+            lane = packed[(e - base) >> 3 :: 8]
+            cols.append(int(lane.translate(_DIGITS[e & 7])[::-1], 2))
+    return cols
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -935,9 +990,10 @@ class CopySearch:
     Holds one engine over the family's containment index, picked from the
     target: the chain engine for pure chain-union targets and the generic
     backtracker for every other.  Both answer ``find`` and
-    ``find_containing`` with the images in poset-element order; only
-    ``completes`` reads the certificates.  A repeated mask raises
-    ValueError.
+    ``find_containing`` with the images in poset-element order.  Only
+    ``completes``, one set at a time, and ``noncompleting``, a list at a
+    time, read the certificates, and ``completes`` makes every search
+    either asks for.  A repeated mask raises ValueError.
     """
 
     def __init__(self, masks: tuple[int, ...], poset: ComparabilityMatrix):
@@ -986,6 +1042,44 @@ class CopySearch:
             return False
         self._certificates.add(g, copy.assignment)
         return True
+
+    def noncompleting(
+        self, cands: Iterable[int], node_budget: int = DEFAULT_NODE_BUDGET
+    ) -> Iterator[int]:
+        """Yield the sets of ``cands`` that complete no copy, in order:
+        lazily ``[g for g in cands if not self.completes(g, node_budget)]``,
+        with no g a member (unchecked).
+
+        The candidates are indexed by their element columns (``_columns``),
+        never by the 2^n cube, and the stored certificates mark the ones
+        they cover all at once (``_Certificates.covered``).  Only the
+        lowest candidate left goes to ``completes``, and the certificate
+        that call may add marks its own.  Every candidate skipped is
+        covered by a certificate of a search made before it, so the per-set
+        loop skips it too: the same sets are searched, in the same order,
+        and the same certificates are stored.  A budget overrun raises
+        BudgetExceededError carrying the candidate (``candidate``).
+        """
+        cands = list(cands)
+        cols = _columns(cands)
+        store, memo = self._certificates, {}
+        left = (1 << len(cands)) - 1  # neither covered nor asked yet
+        marked = 0  # the triples whose candidates are marked
+        while left:
+            if marked < len(store.triples):
+                left &= ~store.covered(cols, left, marked, memo)
+                marked = len(store.triples)
+                continue
+            low = left & -left
+            left ^= low
+            g = cands[low.bit_length() - 1]
+            try:
+                if self.completes(g, node_budget):
+                    continue
+            except BudgetExceededError as err:
+                err.candidate = g
+                raise
+            yield g
 
     def with_member(self, g: int) -> "CopySearch":
         """Searcher for the family extended by g, on the same kind of engine.

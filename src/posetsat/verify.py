@@ -24,9 +24,12 @@ classes come from the searcher (``CopySearch.twin_classes``), which
 computes them once per family: its freeness check reads the same classes
 to make its first pick once per orbit of the twin group.
 
-The sweep asks ``CopySearch.completes``, which reuses the copies found for
-earlier representatives (the lemma in ``posetsat.embed``): a
-representative that one covers completes a copy and needs no search.
+The sweep drains ``CopySearch.noncompleting`` over the representatives in
+canonical order.  It reuses the copies found for earlier representatives
+(the lemma in ``posetsat.embed``): a representative that one covers
+completes a copy and needs no search.  The covered ones are marked many at
+a time over the representatives' own element columns, never over the 2^n
+cube, and the rest go to ``CopySearch.completes`` one by one, in order.
 
 Every verdict comes from one set-up, ``_free_searcher`` (searcher, twin
 classes, freeness, then the ground cap ``max_ground``), and one drain,
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, combinations
 from math import comb
 from operator import or_
@@ -49,7 +53,7 @@ from .embed import (
     find_induced_copy,
 )
 from .posetspec import ComparabilityMatrix, build_poset, render_poset_spec
-from .setfam import Family, canonical_key, canonicalize_family
+from .setfam import Family, canonicalize_family
 
 DEFAULT_ENUMERATION_CAP = 16
 
@@ -92,12 +96,14 @@ def _singletons(cls: int) -> list[int]:
 
 
 def _representatives(classes: list[int], members: set[int]) -> list[int]:
-    """One absent subset per orbit, in canonical order."""
+    """One absent subset per orbit, in canonical order: by size, then
+    value, read off one int key per set (``g`` lies below 2^n)."""
+    n = reduce(or_, classes, 0).bit_length()
     reps = [0]
     for cls in classes:
         lows = list(accumulate(_singletons(cls), or_, initial=0))
         reps = [g | low for g in reps for low in lows]
-    return sorted((g for g in reps if g not in members), key=canonical_key)
+    return sorted((g for g in reps if g not in members), key=lambda g: g.bit_count() << n | g)
 
 
 def _expand(rep: int, classes: list[int], members: set[int]) -> list[int]:
@@ -143,26 +149,25 @@ def _sweep(family: Family, searcher: CopySearch, node_budget: int) -> Iterator[i
     representative's whole orbit at a time, representatives in canonical
     order.
 
-    Each representative is asked of ``searcher.completes``, so one that a
-    copy found for an earlier one covers is not searched.  A budget overrun
-    raises BudgetExceededError at the first representative whose search
-    runs out, carrying it (``candidate``) and the orbits yielded before it
+    The representatives are drained through ``searcher.noncompleting``,
+    which skips the ones the copies found for earlier ones cover, many at
+    a time, and searches the rest one by one.  A budget overrun raises
+    BudgetExceededError at the first representative whose search runs
+    out, carrying it (``candidate``) and the orbits yielded before it
     (``partial``).
     """
     classes = searcher.twin_classes(family.n)
     members = set(family.sets)
     swept: list[int] = []
-    for g in _representatives(classes, members):
-        try:
-            if searcher.completes(g, node_budget):
-                continue
-        except BudgetExceededError:
-            partial = canonicalize_family(swept, family.n)
-            raise BudgetExceededError("exception sweep aborted by node budget",
-                                      partial, g) from None
-        orbit = _expand(g, classes, members)
-        swept += orbit
-        yield from orbit
+    try:
+        for g in searcher.noncompleting(_representatives(classes, members), node_budget):
+            orbit = _expand(g, classes, members)
+            swept += orbit
+            yield from orbit
+    except BudgetExceededError as err:
+        partial = canonicalize_family(swept, family.n)
+        raise BudgetExceededError("exception sweep aborted by node budget",
+                                  partial, err.candidate) from None
 
 
 def exceptions(

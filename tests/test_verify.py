@@ -25,6 +25,7 @@ from posetsat.embed import (
     BudgetExceededError,
     CopySearch,
     _Certificates,
+    _columns,
     _FamilyIndex,
     find_induced_copy,
 )
@@ -682,21 +683,21 @@ class TestTwinFreeChain:
 # -- copies the sweep reuses --------------------------------------------------
 
 
-def covered_sets(monkeypatch, run):
-    """The subsets a searcher's certificate store reports as covered while
-    ``run`` runs."""
-    covered = []
-    original = _Certificates.covers
+def covered_sets(monkeypatch, family, run):
+    """The representatives of ``family`` that ``run``, a sweep of it that
+    runs to the end, answers with no search: those it hands no pinned
+    search, in canonical order."""
+    searched = set()
+    original = CopySearch.find_containing
 
-    def recording(self, g):
-        hit = original(self, g)
-        if hit:
-            covered.append(g)
-        return hit
+    def recording(self, g, *args, **kwargs):
+        searched.add(g)
+        return original(self, g, *args, **kwargs)
 
-    monkeypatch.setattr(_Certificates, "covers", recording)
+    monkeypatch.setattr(CopySearch, "find_containing", recording)
     run()
-    return covered
+    reps = _representatives(twin_classes(family), set(family.sets))
+    return [g for g in reps if g not in searched]
 
 
 def sweep_outcome(sweep, family, poset, budget):
@@ -730,6 +731,26 @@ def free_families(draw, n, specs):
     return canonicalize_family(searcher.masks, n), poset
 
 
+@st.composite
+def candidate_lists(draw, n, members=frozenset()):
+    """Distinct sets outside ``members`` in a random order, among them 0
+    and a set wider than [n], which holds an element past every member."""
+    cands = [g for g in draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=40))
+             if g not in members]
+    for g in (0, draw(st.integers(1 << n, 1 << 70))):
+        if g not in members and g not in cands:
+            cands.insert(draw(st.integers(0, len(cands))), g)
+    return cands
+
+
+def certificate_fits(g, triple):
+    """The certificate test by its definition: need ⊆ g ⊆ room, and g
+    incomparable to each image apart."""
+    need, room, apart = triple
+    return (need & g == need and (room == -1 or g & room == g)
+            and not any(g & a in (g, a) for a in apart))
+
+
 class TestCertificates:
     @settings(max_examples=150, deadline=None)
     @given(families(max_n=5), st.sampled_from(SPECS))
@@ -753,14 +774,25 @@ class TestCertificates:
         assume(not (spec == "B3" and family.n > 4))
         assume(is_induced_p_free(family, poset))
         with pytest.MonkeyPatch.context() as mp:
-            covered = covered_sets(mp, lambda: exceptions(family, poset))
+            covered = covered_sets(mp, family, lambda: exceptions(family, poset))
         for g in covered:
             assert brute_force_has_copy(family.sets + (g,), poset, require=g), (family, g)
+
+    def test_named_sweep_covered_sets_complete_a_copy(self, monkeypatch):
+        # The same check on a named sweep, so it cannot pass on an empty
+        # list: mck(6,2,2) against 2C2 answers 30 of its 37 representatives
+        # with no search.
+        family, poset = construct_mck(6, 2, 2), build_poset("2C2")
+        covered = covered_sets(monkeypatch, family, lambda: exceptions(family, poset))
+        assert len(covered) == 30
+        assert len(_representatives(twin_classes(family), set(family.sets))) == 37
+        for g in covered:
+            assert brute_force_has_copy(family.sets + (g,), poset, require=g), g
 
     def test_named_sweeps_skip_most_searches(self, monkeypatch):
         # mck(12,3,3) against 3C3: 68 searches for 2,255 representatives.
         family, poset = construct_mck(12, 3, 3), build_poset("3C3")
-        covered = covered_sets(monkeypatch, lambda: exceptions(family, poset))
+        covered = covered_sets(monkeypatch, family, lambda: exceptions(family, poset))
         assert len(covered) == 2187
         assert len(_representatives(twin_classes(family), set(family.sets))) == 2255
 
@@ -787,6 +819,79 @@ class TestCertificates:
         store.add(g, (mask_of([1, 6], n), g, mask_of([2], n)))
         for sets, want in (([1, 6], True), ([1, 2, 6], False), ([1, 5], True)):
             assert store.covers(mask_of(sets, n)) is want, sets
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: free_families(n, SPECS)), st.data(),
+           st.sampled_from([1, 2, 4, 8, DEFAULT_NODE_BUDGET]))
+    def test_noncompleting_matches_per_set_loop(self, family_poset, data, budget):
+        # The bulk walk yields what a fresh searcher's completes loop
+        # yields, runs out at the same candidate, hands find_containing the
+        # same sets in the same order and stores the same triples.
+        family, poset = family_poset
+        cands = data.draw(candidate_lists(family.n, set(family.sets)))
+
+        def bulk(searcher):
+            out = []
+            try:
+                out.extend(searcher.noncompleting(cands, budget))
+            except BudgetExceededError as err:
+                return out, err.candidate
+            return out, None
+
+        def per_set(searcher):
+            out = []
+            for g in cands:
+                try:
+                    if not searcher.completes(g, budget):
+                        out.append(g)
+                except BudgetExceededError:
+                    return out, g
+            return out, None
+
+        def run(ask):
+            searcher, searched = CopySearch(family.sets, poset), []
+            original = CopySearch.find_containing
+
+            def recording(self, g, *args, **kwargs):
+                searched.append(g)
+                return original(self, g, *args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(CopySearch, "find_containing", recording)
+                outcome = ask(searcher)
+            return outcome, searched, searcher._certificates.triples
+
+        assert run(bulk) == run(per_set)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7), st.data())
+    def test_bulk_coverage_matches_definition(self, n, data):
+        # Certificates of random copies through random sets: the bulk
+        # coverage of a candidate list, over any slice of the store and any
+        # subset of the candidates, and the scalar ``covers`` both give the
+        # definition, read set by set.  Without the wide set the columns
+        # may stop below an element of a need or a room.
+        store = _Certificates()
+        sets = st.integers(0, (1 << n) - 1)
+        for g, images in data.draw(st.lists(st.tuples(sets, st.lists(sets, max_size=5)),
+                                            max_size=8)):
+            store.add(g, (g, *images))
+        cands = data.draw(candidate_lists(n))
+        if data.draw(st.booleans()):
+            cands = [g for g in cands if g >> n == 0]
+        within = data.draw(st.integers(0, (1 << len(cands)) - 1))
+        start = data.draw(st.integers(0, len(store.triples)))
+        cols = _columns(cands)
+        assert all(g >> len(cols) == 0 for g in cands)
+        for e, col in enumerate(cols):
+            assert col == sum(1 << i for i, g in enumerate(cands) if g >> e & 1)
+        bulk = store.covered(cols, within, start)
+        for i, g in enumerate(cands):
+            fits = [certificate_fits(g, triple) for triple in store.triples]
+            assert store.covers(g) is any(fits), (g, store.triples)
+            want = bool(within >> i & 1) and any(fits[start:])
+            assert bool(bulk >> i & 1) is want, (g, store.triples[start:])
+        assert not bulk >> len(cands)
 
     @settings(max_examples=25, deadline=None)
     @given(free_families(7, SPECS))
@@ -834,7 +939,9 @@ class TestCertificates:
             [10, 34, 40, 7, 13, 42, 50, 56, 69, 112, 43, 46, 57, 77, 120, 107], 7
         )
         poset, budget = build_poset("B2"), 6
-        covered = covered_sets(monkeypatch, lambda: exceptions(family, poset, node_budget=budget))
+        covered = covered_sets(
+            monkeypatch, family, lambda: exceptions(family, poset, node_budget=budget)
+        )
         searcher = CopySearch(family.sets, poset)
         overran = []
         for g in covered:
